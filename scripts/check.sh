@@ -13,9 +13,11 @@
 #             model` (the engine self-tests and the bounded litmus run in
 #             tests/test_model.cpp), then tools/modelcheck unbounded — every
 #             litmus unit over the policy-templatized SpscRing, turnstile,
-#             and TraceBuffer protocols must pass over EVERY interleaving,
-#             and every seeded memory-order mutant (src/check/mutants.hpp)
-#             must be caught. Green means both "the real protocols are
+#             MpmcQueue, doorbell park/wake and TraceBuffer protocols must
+#             pass over EVERY interleaving (a few multi-waiter units run
+#             under a per-unit preemption cap), and every seeded mutant
+#             (src/check/mutants.hpp: memory-order demotions plus a lost
+#             wakeup) must be caught. Green means both "the real protocols are
 #             correct under the simulated C++11 memory model" and "the
 #             checker can actually detect ordering bugs".
 #   asan      rebuild and re-run the suite under AddressSanitizer + UBSan
@@ -30,7 +32,10 @@
 #             traffic, hybrid start/stop under backpressure — synchronous
 #             and overlapped-decode — and fleet churn: multi-stream
 #             start/stop over the shared MPMC dispatch queue, dispatch
-#             backpressure, and pool shutdown with a non-empty queue. The
+#             backpressure, and pool shutdown with a non-empty queue —
+#             plus park/wake storms on the ring's and the dispatch queue's
+#             blocking waits, fleet start/stop with parked workers, and a
+#             worker failure while consumers are parked. The
 #             `tsan` ctest label then re-runs that
 #             focused set a second time for extra interleavings. TSan aborts
 #             the run on any report, so a green stage means zero races

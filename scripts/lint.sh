@@ -36,6 +36,12 @@
 #                  silently: either it is documented (and thereby a
 #                  candidate for a model-checking litmus unit), or it says
 #                  in-line why it is exempt.
+#                * no `std::this_thread::yield` in src/pipeline/ — an idle
+#                  stream thread parks on a doorbell (pipeline/doorbell.hpp)
+#                  instead of spinning a core away. The one allow-listed
+#                  site is the line-rate pacing tail inside produce_stream
+#                  (src/pipeline/stream_link.hpp), which spins the last
+#                  sub-quantum stretch before a record's release time.
 #
 # Usage: scripts/lint.sh [--no-tidy] [--no-werror] [--no-rules]
 set -uo pipefail
@@ -177,6 +183,34 @@ if [[ "$run_rules" == 1 ]]; then
         done < <(decomment "$f" | grep -n 'std::atomic' | cut -d: -f1)
     done < <(find src -name '*.cpp' -o -name '*.hpp' |
              grep -vE '^src/(common|check)/' | sort)
+
+    # Rule 5: no yield-spin in the streaming layer. Allow-list entries are
+    # "file:function"; a yield is allowed only between that function's
+    # signature line and the next closing brace in column 0.
+    yield_allow=("src/pipeline/stream_link.hpp:produce_stream")
+    while IFS= read -r f; do
+        allowed_ranges=()
+        for entry in "${yield_allow[@]}"; do
+            [[ "${entry%%:*}" == "$f" ]] || continue
+            fn="${entry#*:}"
+            range=$(awk -v fn="$fn" '
+                !start && $0 ~ "^[A-Za-z].*[ *&]" fn "\(" { start = NR }
+                start && !stop && NR > start && /^}/ { stop = NR }
+                END { if (start && stop) print start " " stop }' "$f")
+            [[ -n "$range" ]] && allowed_ranges+=("$range")
+        done
+        while IFS= read -r lineno; do
+            ok=0
+            for range in "${allowed_ranges[@]}"; do
+                lo=${range% *} hi=${range#* }
+                (( lineno > lo && lineno < hi )) && ok=1
+            done
+            [[ "$ok" == 1 ]] && continue
+            echo "rule violation (std::this_thread::yield in the streaming" \
+                 "layer; park on a Doorbell instead): $f:$lineno"
+            rules_bad=1
+        done < <(decomment "$f" | grep -n 'std::this_thread::yield' | cut -d: -f1)
+    done < <(find src/pipeline -name '*.cpp' -o -name '*.hpp' | sort)
 
     if [[ "$rules_bad" == 0 ]]; then
         stage rules PASS

@@ -2,7 +2,8 @@
 // tools/modelcheck.
 //
 // Each unit is a small concurrent program over the *production* protocol
-// templates (SpscRing, OrderTurnstile, BasicTraceBuffer) instantiated with
+// templates (SpscRing, OrderTurnstile, MpmcQueue, the Doorbell parking
+// inside both queues, BasicTraceBuffer) instantiated with
 // the model-checking atomics policy. Run through check(), a unit proves a
 // protocol property over EVERY interleaving and every allowed weak-memory
 // read. Units paired with a mutant policy (src/check/mutants.hpp) also act
@@ -10,7 +11,8 @@
 // failing interleaving, or the `model` gate fails.
 //
 // Litmus bodies make a bounded number of attempts (no unbounded spinning:
-// a spin loop would give the DFS an unbounded schedule tree) and assert
+// a spin loop would give the DFS an unbounded schedule tree; a doorbell
+// wait is fine, it returns only after a peer publication) and assert
 // order/visibility properties conditionally on what an interleaving
 // delivered. Visibility bugs surface as data races on the plain payload
 // slots (model::var is vector-clock race checked), which is what lets a
@@ -125,6 +127,111 @@ void litmus_ring_cached_peer_staleness() {
     auto b = ring.try_pop();
     MODEL_ASSERT(b.has_value() == pushed);
     if (pushed) MODEL_ASSERT(*b == 3);
+}
+
+/// Ring park/wake, single-element ops at capacity 2: the ring starts full,
+/// so the producer's third element can only go in by parking for space,
+/// and the consumer parks on empty whenever it overtakes the producer.
+/// Every park must be woken by the peer's next publication (a lost wakeup
+/// is a deadlock), and the handoff stays FIFO.
+template <typename P>
+void litmus_ring_park_wake_single() {
+    pipeline::SpscRing<std::uint64_t, P> ring(2);
+    MODEL_ASSERT(ring.try_push(1));
+    MODEL_ASSERT(ring.try_push(2));
+    thread producer([&] {
+        while (!ring.try_push(3)) ring.wait_for_space();
+    });
+    for (std::uint64_t expect = 1; expect <= 3; ++expect) {
+        auto v = ring.try_pop();
+        while (!v.has_value()) {
+            ring.wait_for_data();
+            v = ring.try_pop();
+        }
+        MODEL_ASSERT(*v == expect);
+    }
+    producer.join();
+}
+
+/// Ring park/wake with batch ops at capacity 2: the ring starts full, the
+/// producer's two-element push_batch completes only by parking for space,
+/// and the two-wide pop_batch consumer parks whenever the ring is empty.
+template <typename P>
+void litmus_ring_park_wake_batch() {
+    pipeline::SpscRing<std::uint64_t, P> ring(2);
+    std::array<std::uint64_t, 2> first{1, 2};
+    MODEL_ASSERT(ring.push_batch(std::span(first)) == 2);
+    thread producer([&] {
+        std::array<std::uint64_t, 2> in{3, 4};
+        std::size_t off = 0;
+        while (off < in.size()) {
+            const std::size_t n = ring.push_batch(std::span(in).subspan(off));
+            if (n == 0) ring.wait_for_space();
+            off += n;
+        }
+    });
+    std::array<std::uint64_t, 2> out{};
+    std::uint64_t expect = 1;
+    while (expect <= 4) {
+        const std::size_t got = ring.pop_batch(std::span(out));
+        if (got == 0) ring.wait_for_data();
+        for (std::size_t i = 0; i < got; ++i) {
+            MODEL_ASSERT(out[i] == expect);
+            ++expect;
+        }
+    }
+    producer.join();
+}
+
+/// A decode worker parked on an empty dispatch queue is woken by the next
+/// dispatch and receives it.
+template <typename P>
+void litmus_mpmc_worker_park() {
+    pipeline::MpmcQueue<std::uint64_t, P> q(2);
+    thread worker([&] {
+        auto v = q.try_pop();
+        while (!v.has_value()) {
+            q.wait_for_item([] { return false; });
+            v = q.try_pop();
+        }
+        MODEL_ASSERT(*v == 7);
+    });
+    MODEL_ASSERT(q.try_push(7));
+    worker.join();
+}
+
+/// The fleet's shutdown: one job is queued, two workers run the pool loop
+/// (pop, else exit once no consumer is active, else park) while the last
+/// stream consumer release-decrements `active` to 0 and wakes the parked
+/// workers. Both workers must exit — a worker left parked is a deadlock —
+/// and the job is delivered exactly once.
+template <typename P>
+void litmus_mpmc_last_consumer_exit() {
+    pipeline::MpmcQueue<std::uint64_t, P> q(2);
+    MODEL_ASSERT(q.try_push(5));
+    typename P::template atomic<std::size_t> active{1};
+    typename P::template var<std::uint64_t> got1{0};
+    typename P::template var<std::uint64_t> got2{0};
+    const auto consumers_done = [&] {
+        return active.load(std::memory_order_acquire) == 0;
+    };
+    const auto pool_loop = [&](typename P::template var<std::uint64_t>& got) {
+        for (;;) {
+            if (auto v = q.try_pop()) {
+                got.store_plain(*v);
+                continue;
+            }
+            if (consumers_done()) break;
+            q.wait_for_item(consumers_done);
+        }
+    };
+    thread w1([&] { pool_loop(got1); });
+    thread w2([&] { pool_loop(got2); });
+    if (active.fetch_sub(1, std::memory_order_release) == 1)
+        q.wake_item_waiters();
+    w1.join();
+    w2.join();
+    MODEL_ASSERT(got1.load_plain() + got2.load_plain() == 5);
 }
 
 /// N workers emit through the turnstile in frame order; a shared plain cell
@@ -388,10 +495,11 @@ struct LitmusUnit {
     std::function<void()> mutated;  ///< null when the unit has no mutant
     /// Per-unit preemption-bound cap, applied on top of the driver's bound
     /// (the tighter one wins); -1 = follow the driver unchanged. Only for
-    /// units whose full schedule tree is intractable (4+ threads): every
-    /// seeded mutant in this registry is caught within 2 preemptions, so a
-    /// cap of 3 still covers the bug class with headroom while keeping the
-    /// exhaustive `model` stage minutes, not hours.
+    /// units whose full schedule tree is intractable (4+ threads, or 3 with
+    /// parked waiters): every seeded mutant in this registry is caught
+    /// within 2 preemptions, so a cap of 3 still covers the bug class with
+    /// headroom while keeping the exhaustive `model` stage minutes, not
+    /// hours.
     int preemption_cap = -1;
 };
 
@@ -441,6 +549,19 @@ inline const std::vector<LitmusUnit>& litmus_units() {
          litmus_mpmc_two_consumers<ModelAtomics>, nullptr},
         {"mpmc_2p2c", "",
          litmus_mpmc_two_producers_two_consumers<ModelAtomics>, nullptr,
+         /*preemption_cap=*/3},
+        {"ring_park_wake_single", "doorbell_arm_relaxed",
+         litmus_ring_park_wake_single<ModelAtomics>,
+         litmus_ring_park_wake_single<MutantDoorbellArmRelaxed>},
+        {"ring_park_wake_batch", "doorbell_ring_relaxed",
+         litmus_ring_park_wake_batch<ModelAtomics>,
+         litmus_ring_park_wake_batch<MutantDoorbellRingRelaxed>},
+        {"mpmc_worker_park", "doorbell_skip_wake",
+         litmus_mpmc_worker_park<ModelAtomics>,
+         litmus_mpmc_worker_park<MutantDoorbellSkipWake>},
+        {"mpmc_last_consumer_exit", "doorbell_skip_wake",
+         litmus_mpmc_last_consumer_exit<ModelAtomics>,
+         litmus_mpmc_last_consumer_exit<MutantDoorbellSkipWake>,
          /*preemption_cap=*/3},
         {"trace_snapshot_during_record", "trace_publish_relaxed",
          litmus_trace_snapshot_during_record<ModelAtomics>,

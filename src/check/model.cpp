@@ -1,17 +1,21 @@
 // model.cpp — the exploration engine behind src/check/model.hpp.
 //
 // One Explorer per check() call. Model threads are OS threads driven
-// cooperatively through a single turn token (mutex + condvar), so exactly
-// one model thread executes between scheduling decisions and every
-// interleaving is deterministic and replayable. Worker OS threads are
-// created once and reused across the (possibly millions of) executions of
-// a search. The DFS trail alternates two node kinds:
+// cooperatively through a single turn token (one mutex, a condvar per
+// thread), so exactly one model thread executes between scheduling
+// decisions and every interleaving is deterministic and replayable. The
+// thread holding the turn makes the next scheduling decision itself when
+// it parks at an operation, so a thread that keeps the turn never context
+// switches. Worker OS threads are created once and reused across the
+// (possibly millions of) executions of a search. The DFS trail alternates
+// two node kinds:
 //
 //   Sched  — which enabled thread performs its announced pending operation
-//            (created by the controller; carries the sleep set and the
+//            (created by the turn holder; carries the sleep set and the
 //            preemption budget);
 //   Choice — which store in the location's modification order a load (or
-//            wait wake-up) observes (created by the performing thread).
+//            wait wake-up) observes, or which blocked waiter a notify_one
+//            releases (created by the performing thread).
 //
 // Replay of a trail prefix is bit-deterministic, so nodes are extended in
 // place and backtracking truncates the suffix.
@@ -49,7 +53,7 @@ bool clock_leq(const Clock& a, const Clock& b) {
     return true;
 }
 
-enum class OpKind { kLoad, kStore, kRmw, kCas, kWait, kSpawn, kJoin };
+enum class OpKind { kLoad, kStore, kRmw, kCas, kWait, kWake, kNotify, kSpawn, kJoin };
 
 const char* op_name(OpKind k) {
     switch (k) {
@@ -58,6 +62,8 @@ const char* op_name(OpKind k) {
         case OpKind::kRmw: return "rmw";
         case OpKind::kCas: return "cas";
         case OpKind::kWait: return "wait";
+        case OpKind::kWake: return "wake";
+        case OpKind::kNotify: return "notify";
         case OpKind::kSpawn: return "spawn";
         case OpKind::kJoin: return "join";
     }
@@ -110,8 +116,16 @@ bool dependent(const Op& a, const Op& b) {
     };
     if (is_control(a) || is_control(b)) return true;
     if (a.loc != b.loc) return false;
+    // A notify only changes whether a blocked waiter on the location can
+    // run: it commutes with loads and writes, never with a wait or wake.
+    if (a.kind == OpKind::kNotify || b.kind == OpKind::kNotify) {
+        const Op& other = a.kind == OpKind::kNotify ? b : a;
+        return other.kind == OpKind::kWait || other.kind == OpKind::kWake ||
+               other.kind == OpKind::kNotify;
+    }
     auto is_read = [](const Op& o) {
-        return o.kind == OpKind::kLoad || o.kind == OpKind::kWait;
+        return o.kind == OpKind::kLoad || o.kind == OpKind::kWait ||
+               o.kind == OpKind::kWake;
     };
     return !(is_read(a) && is_read(b));
 }
@@ -146,6 +160,7 @@ struct ThreadRec {
     Clock clock;             // the thread's vector clock
     std::function<void()> job;
     bool has_job = false;    // job assigned, worker should pick it up
+    bool notified = false;   // blocked in wait: a notify has landed since
 };
 
 struct SleepEnt {
@@ -182,7 +197,8 @@ public:
             std::lock_guard lock(m_);
             shutdown_ = true;
         }
-        cv_.notify_all();
+        for (auto& cv : thread_cv_) cv.notify_all();
+        ctl_cv_.notify_all();
         for (auto& w : workers_)
             if (w.joinable()) w.join();
     }
@@ -266,14 +282,19 @@ public:
                             std::to_string(v));
     }
 
-    std::uint64_t rmw_add(std::size_t loc, std::uint64_t delta, int mo) {
-        schedule(Op{OpKind::kRmw, loc, delta, mo});
+    std::uint64_t rmw(std::size_t loc, std::uint64_t operand, int op, int mo) {
+        schedule(Op{OpKind::kRmw, loc, operand, mo});
         const std::uint64_t old = perform_rmw(loc, mo, [&](std::uint64_t v) {
-            return v + delta;
+            switch (op) {
+                case detail::kRmwOr: return v | operand;
+                case detail::kRmwAnd: return v & operand;
+                default: return v + operand;
+            }
         });
+        static constexpr const char* kSym[] = {" +", " |", " &"};
         trace_step(current_tid(), "rmw " + loc_str(loc) + "@" + mo_name(mo) +
-                                      " +" + std::to_string(delta) + " -> " +
-                                      std::to_string(old));
+                                      kSym[op] + std::to_string(operand) +
+                                      " -> " + std::to_string(old));
         return old;
     }
 
@@ -303,9 +324,49 @@ public:
         return true;
     }
 
+    /// wait(old): returns at once when the load reads a value != old, or
+    /// when the location's latest store is != old (the futex compare
+    /// against the current word); otherwise the thread blocks on a kWake
+    /// op, which only a later notify (plus a readable value != old)
+    /// enables — see op_enabled.
     void atomic_wait(std::size_t loc, std::uint64_t old, int mo) {
         schedule(Op{OpKind::kWait, loc, old, mo});
+        if (atomics_[loc].mo.back().value != old) {
+            perform_read(loc, mo, &old);
+            return;
+        }
+        if (perform_read(loc, mo, nullptr) != old) return;
+        threads_[static_cast<std::size_t>(current_tid())].notified = false;
+        schedule(Op{OpKind::kWake, loc, old, mo});
         perform_read(loc, mo, &old);
+    }
+
+    void atomic_notify(std::size_t loc, bool all) {
+        schedule(Op{OpKind::kNotify, loc, all ? 1u : 0u, 0});
+        const int tid = current_tid();
+        std::vector<int> blocked;
+        {
+            std::lock_guard lock(m_);
+            for (int t = 0; t < next_tid_; ++t) {
+                const auto& th = threads_[static_cast<std::size_t>(t)];
+                if (th.state == ThreadState::kParked &&
+                    th.pending.kind == OpKind::kWake && th.pending.loc == loc &&
+                    !th.notified)
+                    blocked.push_back(t);
+            }
+        }
+        if (!all && blocked.size() > 1) {
+            const int one = blocked[choose(blocked.size())];
+            blocked.assign(1, one);
+        }
+        std::string woke;
+        for (const int t : blocked) {
+            threads_[static_cast<std::size_t>(t)].notified = true;
+            woke += " T" + std::to_string(t);
+        }
+        trace_step(tid, std::string(all ? "notify_all " : "notify_one ") +
+                            loc_str(loc) + " ->" +
+                            (woke.empty() ? std::string(" (none blocked)") : woke));
     }
 
     void plain_read(std::size_t loc) {
@@ -401,60 +462,71 @@ private:
         controller_loop();
     }
 
+    /// Run one execution to its end. Scheduling is self-dispatched: the
+    /// thread holding the turn picks the next thread itself when it parks
+    /// or finishes (continuing without a context switch when it picks
+    /// itself), so the controller only starts the execution and winds it
+    /// down once the turn comes back to it — at the end, or on a failure,
+    /// deadlock or pruned branch.
     void controller_loop() {
-        while (true) {
-            std::vector<SleepEnt> enabled;
-            bool any_live = false;
-            {
-                std::unique_lock lock(m_);
-                for (int t = 0; t < next_tid_; ++t) {
-                    auto& th = threads_[static_cast<std::size_t>(t)];
-                    if (th.state == ThreadState::kDone) continue;
-                    any_live = true;
-                    if (th.state == ThreadState::kParked && op_enabled(th.pending))
-                        enabled.push_back(SleepEnt{t, th.pending});
-                }
-            }
-            if (!any_live) return;  // execution complete
-            if (aborting_) {
-                wind_down();
-                return;
-            }
-            if (enabled.empty()) {
-                record_deadlock();
-                wind_down();
-                return;
-            }
-            const int pick = sched_decide(enabled);
-            if (pick < 0) {  // every enabled thread is asleep: redundant branch
-                wind_down();
-                return;
-            }
-            grant_and_wait(pick);
+        {
+            std::unique_lock lock(m_);
+            pass_turn_locked(decide_next_locked());
+            ctl_cv_.wait(lock, [&] { return turn_ == kController; });
         }
+        bool any_live = false;
+        for (int t = 0; t < next_tid_; ++t)
+            if (threads_[static_cast<std::size_t>(t)].state != ThreadState::kDone)
+                any_live = true;
+        if (any_live) wind_down();
     }
 
-    /// Enabledness of an announced op (engine lock held).
-    bool op_enabled(const Op& op) {
+    /// The next thread to run, or kController when the execution must end:
+    /// every thread finished, a failure is aborting it, no thread is enabled
+    /// (recorded as a deadlock), or every enabled thread is in the sleep set
+    /// (a redundant branch). Engine lock held, by the turn holder.
+    int decide_next_locked() {
+        if (aborting_) return kController;
+        std::vector<SleepEnt> enabled;
+        bool any_live = false;
+        for (int t = 0; t < next_tid_; ++t) {
+            auto& th = threads_[static_cast<std::size_t>(t)];
+            if (th.state == ThreadState::kDone) continue;
+            any_live = true;
+            if (th.state == ThreadState::kParked && op_enabled(t, th))
+                enabled.push_back(SleepEnt{t, th.pending});
+        }
+        if (!any_live) return kController;
+        if (enabled.empty()) {
+            record_deadlock();
+            return kController;
+        }
+        const int pick = sched_decide(enabled);
+        return pick < 0 ? kController : pick;
+    }
+
+    /// Hand the turn to `next` and wake it (engine lock held).
+    void pass_turn_locked(int next) {
+        turn_ = next;
+        if (next == kController)
+            ctl_cv_.notify_all();
+        else
+            thread_cv_[static_cast<std::size_t>(next)].notify_one();
+    }
+
+    /// Enabledness of thread `tid`'s announced op (engine lock held).
+    bool op_enabled(int tid, const ThreadRec& th) {
+        const Op& op = th.pending;
         if (op.kind == OpKind::kJoin)
             return threads_[static_cast<std::size_t>(op.arg)].state ==
                    ThreadState::kDone;
-        if (op.kind == OpKind::kWait) {
-            // Enabled once some readable store has a value != old. Waiting
-            // threads don't hold the turn, so compute with its thread state.
-            return !read_candidates_for(find_parked_tid(op), op.loc, op.mo,
-                                        &op.arg)
-                        .empty();
+        if (op.kind == OpKind::kWake) {
+            // A blocked waiter needs a notify since it blocked AND some
+            // readable store with a value != old.
+            return th.notified &&
+                   !read_candidates_for(tid, op.loc, op.mo, &op.arg).empty();
         }
         return true;
-    }
-
-    int find_parked_tid(const Op& op) const {
-        for (int t = 0; t < next_tid_; ++t) {
-            const auto& th = threads_[static_cast<std::size_t>(t)];
-            if (th.state == ThreadState::kParked && &th.pending == &op) return t;
-        }
-        return 0;  // unreachable: op always belongs to a parked thread
     }
 
     /// Scheduling decision at the current trail position. Returns the tid to
@@ -680,9 +752,14 @@ private:
             std::unique_lock lock(m_);
             th.pending = op;
             th.state = ThreadState::kParked;
-            if (turn_ == tid) turn_ = kController;
-            cv_.notify_all();
-            cv_.wait(lock, [&] { return turn_ == tid || shutdown_; });
+            if (turn_ == tid) {
+                const int next = decide_next_locked();
+                if (next != tid) pass_turn_locked(next);
+            } else {
+                ctl_cv_.notify_all();  // first op: the spawner waits for it
+            }
+            thread_cv_[static_cast<std::size_t>(tid)].wait(
+                lock, [&] { return turn_ == tid || shutdown_; });
             th.state = ThreadState::kRunning;
             if (shutdown_) throw ModelAbort{};
         }
@@ -698,8 +775,8 @@ private:
     void grant_and_wait(int tid) {
         std::unique_lock lock(m_);
         turn_ = tid;
-        cv_.notify_all();
-        cv_.wait(lock, [&] { return turn_ == kController; });
+        thread_cv_[static_cast<std::size_t>(tid)].notify_one();
+        ctl_cv_.wait(lock, [&] { return turn_ == kController; });
     }
 
     /// Wind down an aborted or pruned execution: release every live thread;
@@ -722,7 +799,7 @@ private:
         }
         // Wait for any thread still running its unwind to finish.
         std::unique_lock lock(m_);
-        cv_.wait(lock, [&] {
+        ctl_cv_.wait(lock, [&] {
             for (int t = 0; t < next_tid_; ++t)
                 if (threads_[static_cast<std::size_t>(t)].state !=
                         ThreadState::kDone &&
@@ -759,9 +836,9 @@ private:
             if (workers_.size() <= static_cast<std::size_t>(t))
                 workers_.emplace_back([this, t] { worker_loop(t); });
         }
-        cv_.notify_all();
+        thread_cv_[static_cast<std::size_t>(t)].notify_one();
         std::unique_lock lock(m_);
-        cv_.wait(lock, [&] {
+        ctl_cv_.wait(lock, [&] {
             const auto st = threads_[static_cast<std::size_t>(t)].state;
             return st == ThreadState::kParked || st == ThreadState::kDone;
         });
@@ -775,7 +852,8 @@ private:
             {
                 std::unique_lock lock(m_);
                 auto& th = threads_[static_cast<std::size_t>(tid)];
-                cv_.wait(lock, [&] { return th.has_job || shutdown_; });
+                thread_cv_[static_cast<std::size_t>(tid)].wait(
+                    lock, [&] { return th.has_job || shutdown_; });
                 if (shutdown_) return;
                 th.has_job = false;
                 job = std::move(th.job);
@@ -797,9 +875,9 @@ private:
                 std::lock_guard lock(m_);
                 auto& th = threads_[static_cast<std::size_t>(tid)];
                 th.state = ThreadState::kDone;
-                if (turn_ == tid) turn_ = kController;
+                if (turn_ == tid) pass_turn_locked(decide_next_locked());
             }
-            cv_.notify_all();
+            ctl_cv_.notify_all();
         }
     }
 
@@ -831,8 +909,12 @@ private:
     Options options_;
 
     // Engine coordination.
+    // One condvar per model thread (woken only for its own turn or job) and
+    // one for the controller side (a thread parked or finished), so a
+    // handoff wakes exactly the party it concerns.
     std::mutex m_;
-    std::condition_variable cv_;
+    std::array<std::condition_variable, kMaxThreads> thread_cv_;
+    std::condition_variable ctl_cv_;
     int turn_ = kController;
     bool shutdown_ = false;
     std::vector<std::thread> workers_;
@@ -886,8 +968,9 @@ std::uint64_t ExecHandle::atomic_load(std::size_t loc, int mo) {
 void ExecHandle::atomic_store(std::size_t loc, std::uint64_t v, int mo) {
     cur().atomic_store(loc, v, mo);
 }
-std::uint64_t ExecHandle::rmw_add(std::size_t loc, std::uint64_t delta, int mo) {
-    return cur().rmw_add(loc, delta, mo);
+std::uint64_t ExecHandle::rmw(std::size_t loc, std::uint64_t operand, int op,
+                              int mo) {
+    return cur().rmw(loc, operand, op, mo);
 }
 bool ExecHandle::cas(std::size_t loc, std::uint64_t& expected,
                      std::uint64_t desired, int mo) {
@@ -895,6 +978,9 @@ bool ExecHandle::cas(std::size_t loc, std::uint64_t& expected,
 }
 void ExecHandle::atomic_wait(std::size_t loc, std::uint64_t old, int mo) {
     cur().atomic_wait(loc, old, mo);
+}
+void ExecHandle::atomic_notify(std::size_t loc, bool all) {
+    cur().atomic_notify(loc, all);
 }
 void ExecHandle::plain_read(std::size_t loc) { cur().plain_read(loc); }
 void ExecHandle::plain_write(std::size_t loc) { cur().plain_write(loc); }

@@ -40,10 +40,17 @@
 //     reordered after the fact, an under-approximation of the full C++11
 //     coherence lattice (it cannot manufacture behaviors the real model
 //     forbids, it can only miss some exotic ones);
-//   * atomic wait(old) is modeled as value-watching: a waiter is blocked
-//     until some store it may read has a value != old. notify is a no-op,
-//     so *lost-wakeup* bugs (missing notify) are out of scope — the TSan
-//     stress gate covers those with real futexes;
+//   * atomic wait(old) first loads (with full read-from branching) and
+//     returns at once if it read a value != old, or if the latest store is
+//     != old (the kernel's futex compare sees the current word, so a wait
+//     never sleeps on a value that was already overwritten); otherwise the
+//     waiter blocks, and becomes runnable again only once BOTH a notify_one/all on
+//     the same location was performed after it blocked AND some store it
+//     may read has a value != old. A missing notify (a lost wakeup) thus
+//     leaves the waiter blocked and surfaces as the deadlock report.
+//     Spurious wake-ups are not modeled (a sound omission for protocols
+//     that re-check after waking); notify_one wakes one blocked waiter,
+//     chosen by a branching read-from-style choice;
 //   * atomics are capped at 8 trivially-copyable bytes (everything the
 //     production protocols use).
 #pragma once
@@ -108,10 +115,12 @@ struct ExecHandle {
     static std::size_t reg_plain();
     static std::uint64_t atomic_load(std::size_t loc, int mo);
     static void atomic_store(std::size_t loc, std::uint64_t v, int mo);
-    static std::uint64_t rmw_add(std::size_t loc, std::uint64_t delta, int mo);
+    static std::uint64_t rmw(std::size_t loc, std::uint64_t operand, int op,
+                             int mo);
     static bool cas(std::size_t loc, std::uint64_t& expected,
                     std::uint64_t desired, int mo);
     static void atomic_wait(std::size_t loc, std::uint64_t old, int mo);
+    static void atomic_notify(std::size_t loc, bool all);
     static void plain_read(std::size_t loc);
     static void plain_write(std::size_t loc);
     static int spawn(std::function<void()> fn);
@@ -137,6 +146,9 @@ T from_bits(std::uint64_t bits) {
 
 /// std::memory_order carried as int through the narrow interface.
 inline int mo_int(std::memory_order mo) { return static_cast<int>(mo); }
+
+/// The read-modify-write arithmetic carried through ExecHandle::rmw.
+enum RmwOp : int { kRmwAdd = 0, kRmwOr = 1, kRmwAnd = 2 };
 
 }  // namespace detail
 
@@ -165,10 +177,19 @@ public:
     }
 
     T fetch_add(T delta, std::memory_order mo = std::memory_order_seq_cst) {
-        static_assert(std::is_integral_v<T>,
-                      "fetch_add is modeled for integral types only");
-        return detail::from_bits<T>(detail::ExecHandle::rmw_add(
-            loc_, detail::to_bits(delta), detail::mo_int(mo)));
+        return rmw(delta, detail::kRmwAdd, mo);
+    }
+
+    T fetch_sub(T delta, std::memory_order mo = std::memory_order_seq_cst) {
+        return rmw(static_cast<T>(T{0} - delta), detail::kRmwAdd, mo);
+    }
+
+    T fetch_or(T bits, std::memory_order mo = std::memory_order_seq_cst) {
+        return rmw(bits, detail::kRmwOr, mo);
+    }
+
+    T fetch_and(T bits, std::memory_order mo = std::memory_order_seq_cst) {
+        return rmw(bits, detail::kRmwAnd, mo);
     }
 
     bool compare_exchange_weak(T& expected, T desired,
@@ -188,19 +209,38 @@ public:
         return done;
     }
 
-    /// Blocks (in model time) until a store with value != old is readable.
+    /// Returns at once if the load reads a value != old; otherwise blocks
+    /// (in model time) until a later notify AND a readable value != old.
     void wait(T old, std::memory_order mo = std::memory_order_seq_cst) const {
         detail::ExecHandle::atomic_wait(loc_, detail::to_bits(old),
                                         detail::mo_int(mo));
     }
 
-    // Wake-ups are modeled at the wait() side (value-watching); notify
-    // carries no information the model needs. See header comment.
-    void notify_one() noexcept {}
-    void notify_all() noexcept {}
+    /// Schedule points: which waiters a notify finds blocked depends on
+    /// where it lands in the interleaving. See the header comment.
+    void notify_one() { detail::ExecHandle::atomic_notify(loc_, false); }
+    void notify_all() { detail::ExecHandle::atomic_notify(loc_, true); }
 
 private:
+    T rmw(T operand, detail::RmwOp op, std::memory_order mo) {
+        static_assert(std::is_integral_v<T>,
+                      "read-modify-writes are modeled for integral types only");
+        return detail::from_bits<T>(detail::ExecHandle::rmw(
+            loc_, detail::to_bits(operand), op, detail::mo_int(mo)));
+    }
+
     std::size_t loc_;
+};
+
+/// A model atomic whose notify_one/notify_all do nothing: the lost-wakeup
+/// mutant's cell type (src/check/mutants.hpp). A waiter parked on it can
+/// only be released by a notify that never comes.
+template <typename T>
+class deaf_atomic : public atomic<T> {
+public:
+    using atomic<T>::atomic;
+    void notify_one() {}
+    void notify_all() {}
 };
 
 /// Shadow plain-data cell: the model policy's `var<T>`. Accesses are race-
@@ -295,6 +335,12 @@ struct ModelAtomics {
     static constexpr std::memory_order turnstile_observe = std::memory_order_acquire;
     static constexpr std::memory_order mpmc_slot_publish = std::memory_order_release;
     static constexpr std::memory_order mpmc_slot_acquire = std::memory_order_acquire;
+    static constexpr std::memory_order doorbell_arm = std::memory_order_acq_rel;
+    static constexpr std::memory_order doorbell_ring = std::memory_order_acq_rel;
+    /// No spin under the model: every doorbell wait takes the park path,
+    /// which is the one with a protocol to check (a spin only adds
+    /// schedule points that re-read the same condition).
+    static constexpr unsigned doorbell_spin_us = 0;
     static constexpr std::memory_order trace_publish = std::memory_order_release;
     static constexpr std::memory_order trace_acquire = std::memory_order_acquire;
 };

@@ -1,7 +1,8 @@
 // mutants.hpp — seeded memory-order weakenings for the soundness gate.
 //
 // Each mutant policy derives from the healthy ModelAtomics and demotes
-// exactly one named protocol order to relaxed. The `model` stage in
+// exactly one named protocol order to relaxed (one mutant instead drops
+// the doorbell's notify: a lost wakeup). The `model` stage in
 // scripts/check.sh runs every litmus unit against its paired mutant and
 // requires the checker to report a FAILING interleaving — proving the
 // harness can actually detect the class of bug it exists to prevent. (A
@@ -53,6 +54,28 @@ struct MutantMpmcSlotPublishRelaxed : ModelAtomics {
 /// without acquiring the previous owner's payload traffic.
 struct MutantMpmcSlotAcquireRelaxed : ModelAtomics {
     static constexpr std::memory_order mpmc_slot_acquire = std::memory_order_relaxed;
+};
+
+/// Doorbell: the waiter's arm demoted — an arm that reads a notifier's
+/// ring no longer acquires the publication before it, so the re-check can
+/// miss it and the waiter parks on a doorbell that has already rung.
+struct MutantDoorbellArmRelaxed : ModelAtomics {
+    static constexpr std::memory_order doorbell_arm = std::memory_order_relaxed;
+};
+
+/// Doorbell: the notifier's ring demoted — the ring no longer releases the
+/// publication to a waiter whose arm reads it (same lost-wakeup shape).
+struct MutantDoorbellRingRelaxed : ModelAtomics {
+    static constexpr std::memory_order doorbell_ring = std::memory_order_relaxed;
+};
+
+/// Doorbell: the wake itself skipped — every order intact, but notify is a
+/// no-op, so a waiter that armed before the ring is never released. Not an
+/// order demotion: the mutant swaps in a cell type whose notify does
+/// nothing, the classic lost wakeup the checker's wait model must catch.
+struct MutantDoorbellSkipWake : ModelAtomics {
+    template <typename T>
+    using atomic = model::deaf_atomic<T>;
 };
 
 /// TraceBuffer: the per-slot ready-flag publish demoted — a snapshot can

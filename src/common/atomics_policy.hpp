@@ -15,6 +15,8 @@
 //     the model checker's mutation surface: each seeded mutant in
 //     src/check/mutants.hpp demotes exactly one of them and the `model`
 //     gate in scripts/check.sh proves the checker catches every demotion.
+//     (One non-order constant rides along: the doorbell's spin budget,
+//     which the model policy sets to zero.)
 //
 // The default policy below compiles to *exactly* the code the protocols had
 // before templatization — std::atomic cells, direct member access through
@@ -85,6 +87,25 @@ struct StdAtomics {
     /// ready for it. Acquire, pairing with mpmc_slot_publish in both
     /// directions of the slot's life cycle.
     static constexpr std::memory_order mpmc_slot_acquire = std::memory_order_acquire;
+
+    // --- Doorbell (parking for SpscRing and MpmcQueue waiters) ------------
+    /// A waiter arming the doorbell (fetch_or of the armed bit) before its
+    /// re-check. Acq_rel; the acquire half is the load-bearing one: when the
+    /// arm reads a notifier's doorbell_ring, it must also see the
+    /// publication that preceded that ring, or the re-check misses it and
+    /// the waiter parks on a doorbell nobody will ring again.
+    static constexpr std::memory_order doorbell_arm = std::memory_order_acq_rel;
+    /// A notifier's per-publication bump (fetch_add of the tick). Acq_rel;
+    /// the release half carries the publication to a waiter whose later
+    /// doorbell_arm reads this bump.
+    static constexpr std::memory_order doorbell_ring = std::memory_order_acq_rel;
+    /// Not an order: how long (microseconds) a doorbell waiter keeps
+    /// re-checking its condition, with a CPU pause between checks, before it
+    /// arms and parks in the kernel. Long enough to ride out a peer's next
+    /// publication in a busy handoff (a frame's record burst, a batch pop),
+    /// short against the idle gaps parking exists for (a paced stream's
+    /// 64 ms frame period) and below a scheduler quantum.
+    static constexpr unsigned doorbell_spin_us = 200;
 
     // --- TraceBuffer ------------------------------------------------------
     /// A writer publishing a filled span slot (the per-slot ready flag

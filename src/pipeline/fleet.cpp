@@ -256,7 +256,8 @@ FleetReport FleetRunner::run() {
     // Consumers still running; workers exit once this hits zero AND the
     // queue is drained. Each consumer decrements with release after its
     // last enqueue, so a worker's acquire read of zero also sees every
-    // published slot ticket — no job can be missed.
+    // published slot ticket — no job can be missed. The last consumer then
+    // rings the queue's pop-side doorbell, so parked workers re-check.
     std::atomic<std::size_t> active{n};
     std::mutex failure_mutex;
     std::exception_ptr pool_failure;
@@ -294,7 +295,7 @@ FleetReport FleetRunner::run() {
                 if (!queue.try_push(std::move(job))) {
                     WallTimer wait;
                     do {
-                        std::this_thread::yield();
+                        queue.wait_for_slot();
                     } while (!queue.try_push(std::move(job)));
                     st->decode_wait_s += wait.seconds();
                 }
@@ -366,20 +367,13 @@ FleetReport FleetRunner::run() {
                 }
             } catch (...) {
                 st->failure = std::current_exception();
-                // The producer only exits after delivering the sentinel:
-                // drain this stream's link (discarding records) so it can.
-                if (!st->stream_done) {
-                    for (;;) {
-                        auto block = st->ring.try_pop();
-                        if (!block) {
-                            std::this_thread::yield();
-                            continue;
-                        }
-                        if (block->end) break;
-                    }
-                }
+                // Drain the link so the producer can deliver its sentinel.
+                if (!st->stream_done) drain_to_end(st->ring);
             }
-            active.fetch_sub(1, std::memory_order_release);
+            // The last consumer out wakes every parked worker so each sees
+            // active == 0 and exits once the queue is drained.
+            if (active.fetch_sub(1, std::memory_order_release) == 1)
+                queue.wake_item_waiters();
         });
     }
 
@@ -405,25 +399,28 @@ FleetReport FleetRunner::run() {
         st.free_pool.push_free(std::move(job));
     };
 
+    // The next job for a worker, parked while the queue is empty; nullopt
+    // once every consumer has finished and the queue is drained.
+    const auto next_job = [&queue, &active]() -> std::optional<DispatchJob> {
+        const auto consumers_done = [&active] {
+            return active.load(std::memory_order_acquire) == 0;
+        };
+        for (;;) {
+            if (auto job = queue.try_pop()) return job;
+            // Every consumer has finished; one more pop cannot miss a job
+            // (see the `active` comment).
+            if (consumers_done()) return queue.try_pop();
+            queue.wait_for_item(consumers_done);
+        }
+    };
+
     std::vector<std::thread> workers;
     workers.reserve(workers_n);
     for (std::size_t w = 0; w < workers_n; ++w) {
         workers.emplace_back([&, w] {
             WorkerDecoders& local = decoders[w];
             try {
-                for (;;) {
-                    auto job = queue.try_pop();
-                    if (!job) {
-                        if (active.load(std::memory_order_acquire) == 0) {
-                            // Every consumer has finished; one more pop
-                            // cannot miss a job (see the `active` comment).
-                            job = queue.try_pop();
-                            if (!job) break;
-                        } else {
-                            std::this_thread::yield();
-                            continue;
-                        }
-                    }
+                while (auto job = next_job()) {
                     StreamState& st = *states[job->stream];
                     const auto& cfg = st.spec.config;
                     if (decode_down.load(std::memory_order_relaxed)) {
@@ -483,20 +480,7 @@ FleetReport FleetRunner::run() {
                     s->turnstile.abort();
                     s->free_pool.abort();
                 }
-                for (;;) {
-                    if (auto job = queue.try_pop()) {
-                        recycle(std::move(*job));
-                        continue;
-                    }
-                    if (active.load(std::memory_order_acquire) == 0) {
-                        if (auto job = queue.try_pop()) {
-                            recycle(std::move(*job));
-                            continue;
-                        }
-                        break;
-                    }
-                    std::this_thread::yield();
-                }
+                while (auto job = next_job()) recycle(std::move(*job));
             }
         });
     }

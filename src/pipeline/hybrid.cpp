@@ -560,18 +560,9 @@ HybridReport HybridPipeline::run() {
         }
     } catch (...) {
         failure = std::current_exception();
-        // The producer only exits after delivering the sentinel: drain the
-        // link (discarding records) so it can, then join it below.
-        if (!stream_done) {
-            for (;;) {
-                auto block = ring.try_pop();
-                if (!block) {
-                    std::this_thread::yield();
-                    continue;
-                }
-                if (block->end) break;
-            }
-        }
+        // Drain the link so the producer can deliver its sentinel and be
+        // joined below.
+        if (!stream_done) drain_to_end(ring);
     }
 
     producer.join();

@@ -26,11 +26,17 @@
 // src/check/litmus.hpp verify the protocol exhaustively; the happens-before
 // argument lives in DESIGN.md ("Memory model").
 //
-// The queue never blocks: try_push fails on full, try_pop on empty; the
-// fleet layer turns "full" into consumer-side backpressure (which in turn
-// fills that stream's SPSC ring and stalls its producer) and "empty" into a
-// worker yield loop. Destruction is not synchronized — join every producer
-// and consumer first (undrained payloads are destroyed with the slots).
+// try_push fails on full and try_pop on empty; neither blocks. Waiting is
+// separate: wait_for_slot() parks a pusher until a slot may be free and
+// wait_for_item() parks a popper until an element may be ready (or the
+// caller's stop condition holds), each on a Doorbell (pipeline/doorbell.hpp)
+// that every successful pop or push rings. The fleet layer turns "full"
+// into consumer-side backpressure (which in turn fills that stream's SPSC
+// ring and stalls its producer) and "empty" into a parked decode worker;
+// wake_item_waiters() re-rings the pop side when a stop condition changes
+// without a push (the last stream consumer leaving). Destruction is not
+// synchronized — join every producer and consumer first (undrained
+// payloads are destroyed with the slots).
 #pragma once
 
 #include <atomic>
@@ -44,6 +50,7 @@
 #include "common/aligned_buffer.hpp"
 #include "common/atomics_policy.hpp"
 #include "common/error.hpp"
+#include "pipeline/doorbell.hpp"
 
 namespace htims::pipeline {
 
@@ -88,6 +95,7 @@ public:
                                                 std::memory_order_relaxed)) {
                     slot.value.store_plain(std::move(value));
                     slot.ticket.store(pos + 1, Atomics::mpmc_slot_publish);
+                    item_bell_.ring();
                     return true;
                 }
             } else if (turn < 0) {
@@ -114,6 +122,7 @@ public:
                     T value = slot.value.take_plain();
                     // Recycle: the slot's next producer turn is one lap on.
                     slot.ticket.store(pos + mask_ + 1, Atomics::mpmc_slot_publish);
+                    slot_bell_.ring();
                     return value;
                 }
             } else if (turn < 0) {
@@ -135,7 +144,42 @@ public:
 
     bool empty() const { return size() == 0; }
 
+    /// Pop side: block until a try_pop may find an element or `stop()`
+    /// holds (a bounded spin, then parked). A competing popper can still
+    /// win the element, so callers loop: try_pop, else wait_for_item.
+    template <typename Stop>
+    void wait_for_item(Stop&& stop) {
+        item_bell_.wait([&] { return item_ready() || stop(); });
+    }
+
+    /// Push side: block until a try_push may find a free slot.
+    void wait_for_slot() {
+        slot_bell_.wait([this] { return slot_ready(); });
+    }
+
+    /// Wake every thread parked in wait_for_item so it re-evaluates its
+    /// stop condition. Call after changing what that condition reads.
+    void wake_item_waiters() { item_bell_.ring(); }
+
 private:
+    // The wait conditions read the ticket a try_pop/try_push would read
+    // first: "not empty" / "not full" at the current position. A stale
+    // position reads a slot that has moved on, which also returns true —
+    // the caller's retry then reloads the position.
+    bool item_ready() const {
+        const std::size_t pos = tail_.load(std::memory_order_relaxed);
+        const std::size_t ticket =
+            slots_[pos & mask_].ticket.load(Atomics::mpmc_slot_acquire);
+        return static_cast<std::ptrdiff_t>(ticket - (pos + 1)) >= 0;
+    }
+
+    bool slot_ready() const {
+        const std::size_t pos = head_.load(std::memory_order_relaxed);
+        const std::size_t ticket =
+            slots_[pos & mask_].ticket.load(Atomics::mpmc_slot_acquire);
+        return static_cast<std::ptrdiff_t>(ticket - pos) >= 0;
+    }
+
     struct Slot {
         typename Atomics::template atomic<std::size_t> ticket{0};
         typename Atomics::template var<T> value;
@@ -144,8 +188,11 @@ private:
     std::unique_ptr<Slot[]> slots_;
     std::size_t mask_ = 0;
     // Producers and consumers each contend on their own counter line.
+    // Each side rings the doorbell the other side parks on.
     alignas(kCacheLine) typename Atomics::template atomic<std::size_t> head_{0};
+    Doorbell<Atomics> item_bell_;
     alignas(kCacheLine) typename Atomics::template atomic<std::size_t> tail_{0};
+    Doorbell<Atomics> slot_bell_;
 };
 
 }  // namespace htims::pipeline

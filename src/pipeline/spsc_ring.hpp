@@ -16,6 +16,12 @@
 //    distance can no longer prove space (producer) or data (consumer).
 //    A push/pop that the cache can prove does zero atomic loads.
 //
+// Waiting is not the ring's job: try_*/push_batch/pop_batch never block.
+// A side that finds the ring empty (consumer) or full (producer) calls
+// wait_for_data()/wait_for_space(), which spin briefly and then park on a
+// Doorbell (pipeline/doorbell.hpp) that every publication of the peer
+// rings — one doorbell per wait direction, each on its ringer's cache line.
+//
 // The ring is templatized over an atomics policy (common/atomics_policy.hpp)
 // so the exhaustive model checker in src/check/ can instantiate the *same*
 // protocol logic with shadow atomics and verify every interleaving under the
@@ -37,6 +43,7 @@
 #include "common/atomics_policy.hpp"
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "pipeline/doorbell.hpp"
 
 namespace htims::pipeline {
 
@@ -86,6 +93,7 @@ public:
         }
         slots_[head & mask_].store_plain(std::move(value));
         head_.store(head + 1, Atomics::ring_publish);
+        data_bell_.ring();
         return true;
     }
 
@@ -111,6 +119,7 @@ public:
         for (std::size_t i = first; i < n; ++i)
             slots_[i - first].store_plain(std::move(items[i]));
         head_.store(head + n, Atomics::ring_publish);
+        data_bell_.ring();
         return n;
     }
 
@@ -125,6 +134,7 @@ public:
         }
         T value = slots_[tail & mask_].take_plain();
         tail_.store(tail + 1, Atomics::ring_publish);
+        space_bell_.ring();
         return value;
     }
 
@@ -150,7 +160,25 @@ public:
         for (std::size_t i = first; i < n; ++i)
             out[i] = slots_[i - first].take_plain();
         tail_.store(tail + n, Atomics::ring_publish);
+        space_bell_.ring();
         return n;
+    }
+
+    /// Consumer side: block until the ring holds at least one element (a
+    /// bounded spin, then parked). The next pop then succeeds.
+    void wait_for_data() {
+        data_bell_.wait([this] { return has_data(); });
+    }
+
+    /// Producer side: block until the ring has at least one free slot.
+    void wait_for_space() {
+        space_bell_.wait([this] { return has_space(); });
+    }
+
+    /// Producer side, bounded: true once a slot is free, false if `seconds`
+    /// pass with the ring still full.
+    bool wait_for_space_for(double seconds) {
+        return space_bell_.wait_for([this] { return has_space(); }, seconds);
     }
 
     /// Snapshot of the current fill level (approximate under concurrency).
@@ -164,14 +192,33 @@ public:
 private:
     using AtomicIndex = typename Atomics::template atomic<std::size_t>;
 
+    // The wait conditions: the same cached-peer refresh as a pop/push, so
+    // a true result is exactly "the next pop/push succeeds".
+    bool has_data() {
+        const std::size_t tail = tail_.load(std::memory_order_relaxed);
+        if (tail != head_cache_) return true;
+        head_cache_ = head_.load(Atomics::ring_peer_acquire);
+        return tail != head_cache_;
+    }
+
+    bool has_space() {
+        const std::size_t head = head_.load(std::memory_order_relaxed);
+        if (head - tail_cache_ <= mask_) return true;
+        tail_cache_ = tail_.load(Atomics::ring_peer_acquire);
+        return head - tail_cache_ <= mask_;
+    }
+
     std::vector<typename Atomics::template var<T>> slots_;
     std::size_t mask_ = 0;
-    // Producer-owned line: the published head plus the producer's private
-    // view of the consumer's tail. Consumer-owned line symmetric.
+    // Producer-owned line: the published head, the producer's private view
+    // of the consumer's tail, and the doorbell the producer rings for a
+    // parked consumer. Consumer-owned line symmetric.
     alignas(kCacheLine) AtomicIndex head_{0};
     std::size_t tail_cache_ = 0;
+    Doorbell<Atomics> data_bell_;
     alignas(kCacheLine) AtomicIndex tail_{0};
     std::size_t head_cache_ = 0;
+    Doorbell<Atomics> space_bell_;
 };
 
 }  // namespace htims::pipeline

@@ -114,11 +114,13 @@ void produce_stream(SpscRing<Block>& ring, RecordSource& source,
         WallTimer stall;
         const bool bounded = p.ring_timeout_s > 0.0 && !block.end;
         while (!ring.try_push(Block{block})) {
-            if (bounded && stall.seconds() > p.ring_timeout_s) {
+            if (!bounded) {
+                ring.wait_for_space();
+            } else if (!ring.wait_for_space_for(p.ring_timeout_s -
+                                                stall.seconds())) {
                 hooks.stall(stall.seconds());
                 return false;
             }
-            std::this_thread::yield();
         }
         const double stalled = stall.seconds();
         if (stalled > 0.0) hooks.stall(stalled);
@@ -262,8 +264,9 @@ void produce_stream(SpscRing<Block>& ring, RecordSource& source,
 /// The consumer body: drain the ring in batches until the end sentinel,
 /// folding records with `accumulate(block)` and finishing frames with
 /// `close_frame(index, more_frames)`. Frames are closed by watching the
-/// sequence tags, so frames whose trailing records were dropped still close
-/// (as degraded frames); kDropOldest credits from the producer discard the
+/// sequence tags: a frame closes as soon as its last record is accumulated,
+/// and a frame whose trailing records were dropped still closes (degraded)
+/// when a later frame's record arrives; kDropOldest credits from the producer discard the
 /// oldest queued record. `stream_done` is an out-flag (set when the
 /// sentinel is seen) rather than part of the totals so a caller unwinding
 /// from an exception mid-consume can still tell whether the link needs
@@ -307,8 +310,9 @@ ConsumeTotals consume_stream(SpscRing<Block>& ring, const LinkParams& p,
         std::size_t got = ring.pop_batch(std::span(popped));
         if (got == 0) {
             WallTimer idle;
-            while ((got = ring.pop_batch(std::span(popped))) == 0)
-                std::this_thread::yield();
+            ring.wait_for_data();
+            got = ring.pop_batch(std::span(popped));
+            HTIMS_DCHECK(got > 0, "wait_for_data returns with data queued");
             hooks.idle(idle.seconds());
         }
         hooks.popped(got);
@@ -342,11 +346,30 @@ ConsumeTotals consume_stream(SpscRing<Block>& ring, const LinkParams& p,
             }
             hooks.record();
             accumulate(block);
+            // A frame's last record closes it now, not when the next
+            // frame's first record arrives (a frame period later on a paced
+            // stream). A discarded last record keeps the late close above.
+            if ((block.seq + 1) % p.records_per_frame == 0)
+                close_through((block.seq + 1) / p.records_per_frame);
         }
     }
     if (next_seq < p.records_total) mark_dropped_range(next_seq, p.records_total);
     close_through(p.frames);
     return totals;
+}
+
+/// Failure-path drain for a consumer that stopped early: discard the link's
+/// records until the end sentinel, so the producer — which only exits
+/// after delivering it — can finish and be joined.
+inline void drain_to_end(SpscRing<Block>& ring) {
+    for (;;) {
+        auto block = ring.try_pop();
+        if (!block) {
+            ring.wait_for_data();
+            continue;
+        }
+        if (block->end) return;
+    }
 }
 
 /// Handoff between a stream's consumer and the decode side: a pool of

@@ -23,10 +23,9 @@
 // model checker instantiates this exact protocol; litmus units
 // `turnstile_*` in src/check/litmus.hpp exhaustively verify the ordered-
 // emission and abort paths, and the seeded mutants demote the two named
-// orders below. Note one model limitation documented in DESIGN.md: the
-// checker treats wait() as value-watching, so a *missing* notify (a lost-
-// wakeup bug) is outside its scope — the TSan stress suite covers that
-// path with real futexes.
+// orders below. The checker releases a blocked wait() only on a notify
+// performed after it blocked, so a *missing* notify in advance() or abort()
+// shows up as a deadlock in those units, not just in the TSan stress suite.
 #pragma once
 
 #include <cstddef>

@@ -456,10 +456,12 @@ TEST(FaultedHybrid, DropOldestTimeoutDropsEachDisplacedRecordExactlyOnce) {
     // Deterministic schedule: link jitter on every record paces the
     // producer (>= 10us/record) so the link stays shallow while the
     // consumer is live; the scheduled cpu.fail at frame 0's close then
-    // stalls the consumer for cpu_retry_backoff_s. During the stall the
-    // producer fills the 16-record link (seqs 32..47) and times out on each
-    // of seqs 48..61 — exactly 14 records, all in frame 1, each dropped
-    // exactly once. With the stale-credit bug the count doubles to 28.
+    // stalls the consumer for cpu_retry_backoff_s. Frame 0 closes on its
+    // last record (seq 30), so the stall starts with seq 31 still queued:
+    // the producer fills the 16-record link (seqs 31..46) and times out on
+    // each of seqs 47..61 — exactly 15 records, all in frame 1, each
+    // dropped exactly once. With the stale-credit bug the count doubles to
+    // 30.
     const prs::OversampledPrs seq(5, 1, prs::GateMode::kPulsed);  // 31 records
     const auto layout = small_layout(seq, 16);
     std::vector<std::uint32_t> period(layout.cells(), 1);
@@ -480,14 +482,14 @@ TEST(FaultedHybrid, DropOldestTimeoutDropsEachDisplacedRecordExactlyOnce) {
     const auto report = HybridPipeline(seq, layout, period, cfg).run();
     EXPECT_EQ(report.frames, 2u);
     EXPECT_EQ(report.cpu_task_retries, 1u);
-    EXPECT_EQ(report.records_dropped, 14u);
+    EXPECT_EQ(report.records_dropped, 15u);
     EXPECT_EQ(report.frames_degraded, 1u);
     // Every timed-out push is a real stall; the histogram must see them
     // too (the timeout exit used to skip hybrid.producer_stall_ns).
-    EXPECT_GE(report.producer_stall_seconds, 14 * 0.02);
+    EXPECT_GE(report.producer_stall_seconds, 15 * 0.02);
     for (const auto& h : report.telemetry.histograms) {
         if (h.name == "hybrid.producer_stall_ns") {
-            EXPECT_GE(h.summary.count, 14u);
+            EXPECT_GE(h.summary.count, 15u);
         }
     }
 }

@@ -2,9 +2,9 @@
 //
 // Two halves:
 //   * engine self-tests — the checker must find known-bad behaviors
-//     (store-buffer reordering under relaxed, data races, deadlock,
-//     unjoined threads) and must prove known-good ones (the same store-
-//     buffer program under seq_cst);
+//     (store-buffer reordering under relaxed, data races, deadlock, lost
+//     wakeups, unjoined threads) and must prove known-good ones (the same
+//     store-buffer program under seq_cst);
 //   * the litmus registry — every healthy protocol unit passes, every
 //     seeded memory-order mutant is caught. The gtest run uses a small
 //     preemption bound so tier-1/ASan/TSan builds stay fast; the `model`
@@ -138,6 +138,49 @@ TEST(ModelEngine, AtomicWaitWakesOnValueChange) {
         }
         MODEL_ASSERT(cur == 7);
         t.join();
+    });
+    EXPECT_TRUE(static_cast<bool>(result));
+}
+
+TEST(ModelEngine, LostWakeupReportedAsDeadlock) {
+    // The value changes but nobody notifies: a waiter that blocked before
+    // the store must stay blocked. Only interleavings where the wait starts
+    // after the store escape, so the checker must find the deadlock.
+    const auto result = hc::check(bounded_options(), [] {
+        hc::model::atomic<std::uint64_t> gate{0};
+        hc::thread t([&] { gate.store(1, std::memory_order_release); });
+        gate.wait(0, std::memory_order_acquire);
+        t.join();
+    });
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.failure.find("deadlock"), std::string::npos);
+    EXPECT_NE(result.failure.find("wake"), std::string::npos);
+}
+
+TEST(ModelEngine, NotifyBeforeTheWaitBlocksDoesNotWakeIt) {
+    // A notify only releases waiters already blocked: with no value change
+    // after it, a notify that lands before the wait is lost (the waiter
+    // then blocks on an unchanged value), which the checker must report.
+    const auto result = hc::check(bounded_options(), [] {
+        hc::model::atomic<std::uint64_t> gate{0};
+        hc::thread t([&] { gate.notify_all(); });
+        gate.wait(0, std::memory_order_acquire);
+        t.join();
+    });
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.failure.find("deadlock"), std::string::npos);
+}
+
+TEST(ModelEngine, BitwiseReadModifyWritesReturnThePriorValue) {
+    const auto result = hc::check(bounded_options(), [] {
+        hc::model::atomic<std::uint32_t> word{4};
+        hc::thread t([&] { word.fetch_add(8, std::memory_order_acq_rel); });
+        const std::uint32_t before_or = word.fetch_or(1, std::memory_order_acq_rel);
+        MODEL_ASSERT(before_or == 4 || before_or == 12);
+        t.join();
+        MODEL_ASSERT(word.fetch_and(~std::uint32_t{1}) == 13);
+        MODEL_ASSERT(word.fetch_sub(12) == 12);
+        MODEL_ASSERT(word.load() == 0);
     });
     EXPECT_TRUE(static_cast<bool>(result));
 }

@@ -4,6 +4,7 @@
 // hybrid orchestrator.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <numeric>
@@ -624,6 +625,61 @@ TEST(Hybrid, RealtimeFactorSentinelForNonPositiveRate) {
     EXPECT_DOUBLE_EQ(report.realtime_factor(0.0), 0.0);
     EXPECT_DOUBLE_EQ(report.realtime_factor(-5.0), 0.0);
     EXPECT_DOUBLE_EQ(report.realtime_factor(2e6), 0.5);
+}
+
+// A two-frame source whose second frame is released `gap_ns` after the
+// first, noting when the producer actually takes frame 1's first record.
+class GappedSource final : public RecordSource {
+public:
+    GappedSource(std::vector<std::uint32_t> period, const FrameLayout& layout,
+                 std::uint64_t gap_ns)
+        : inner_(std::move(period), layout, 2, 1),
+          records_per_frame_(layout.drift_bins),
+          gap_ns_(gap_ns) {}
+
+    std::uint64_t total_records() const override { return inner_.total_records(); }
+    std::span<const std::uint32_t> record(std::uint64_t seq) override {
+        if (seq == records_per_frame_)
+            frame1_released = std::chrono::steady_clock::now();
+        return inner_.record(seq);
+    }
+    std::uint64_t release_ns(std::uint64_t seq) const override {
+        return seq >= records_per_frame_ ? gap_ns_ : 0;
+    }
+
+    std::chrono::steady_clock::time_point frame1_released;
+
+private:
+    PeriodTemplateSource inner_;
+    std::uint64_t records_per_frame_;
+    std::uint64_t gap_ns_;
+};
+
+TEST(Hybrid, FrameClosesOnItsLastRecordNotTheNextFramesFirst) {
+    // Regression: the consumer used to close frame f only when frame f+1's
+    // first record arrived — on a paced stream a whole frame period late.
+    // Frame 0 must be decoded and emitted while frame 1 is still held back
+    // by the source's 200 ms gap.
+    const prs::OversampledPrs seq(5, 1, prs::GateMode::kPulsed);
+    const FrameLayout layout{.drift_bins = seq.length(), .mz_bins = 8,
+                             .drift_bin_width_s = 1e-4};
+    for (const bool overlap : {false, true}) {
+        SCOPED_TRACE(overlap ? "overlap decode" : "inline decode");
+        GappedSource source(std::vector<std::uint32_t>(layout.cells(), 2), layout,
+                            200'000'000);
+        std::chrono::steady_clock::time_point frame0_emitted;
+        HybridConfig cfg;
+        cfg.backend = BackendKind::kCpu;
+        cfg.frames = 2;
+        cfg.cpu_threads = 1;
+        cfg.overlap_decode = overlap;
+        cfg.frame_sink = [&](std::size_t index, const Frame&) {
+            if (index == 0) frame0_emitted = std::chrono::steady_clock::now();
+        };
+        const auto report = HybridPipeline(seq, layout, source, cfg).run();
+        EXPECT_EQ(report.frames, 2u);
+        EXPECT_LT(frame0_emitted, source.frame1_released);
+    }
 }
 
 TEST(Hybrid, ToPeriodSamplesDividesByAverages) {

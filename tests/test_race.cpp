@@ -9,14 +9,20 @@
 // capacity-boundary ring handoff (single-element and batch), grain-boundary
 // parallel_for writes, exporters snapshotting metrics mid-flight, and
 // orchestrator start/stop — synchronous, with one overlapped-decode worker,
-// and with several workers emitting through the ordered turnstile.
+// and with several workers emitting through the ordered turnstile — plus
+// park/wake storms on the blocking waits of the ring and the dispatch queue,
+// and a CPU-time check that an idle waiter sleeps rather than spins.
 #include <gtest/gtest.h>
+
+#include <time.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -632,6 +638,232 @@ TEST(RaceMpmcQueue, DestructionWithQueuedItemsReleasesThem) {
         for (int i = 0; i < 5; ++i)
             ASSERT_TRUE(queue.try_push(std::make_shared<int>(i)));
         (void)queue.try_pop();  // leave 4 queued across the wrap point
+    }
+}
+
+// ----------------------------------------------------- park and wake ----
+
+// The blocking waits park the caller on a doorbell that every publication
+// of the peer rings. These storms keep the handoff at its boundaries so a
+// side parks on nearly every operation: a lost wakeup hangs the test (the
+// ctest timeout catches it) and a missing happens-before edge is a TSan
+// report.
+
+TEST(RaceParkWake, SpscRingStormAtCapacityTwo) {
+    constexpr std::uint32_t kTotal = 20000;
+    SpscRing<std::uint32_t> ring(2);
+    // Each side naps now and then, past the spin budget, so the other side
+    // really parks (on empty and on full) rather than riding out the spin.
+    const auto nap = [] {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    };
+    std::thread producer([&] {
+        for (std::uint32_t i = 0; i < kTotal; ++i) {
+            if (i % 1024 == 512) nap();
+            while (!ring.try_push(std::uint32_t{i})) ring.wait_for_space();
+        }
+    });
+    for (std::uint32_t expect = 0; expect < kTotal; ++expect) {
+        if (expect % 1024 == 0) nap();
+        auto v = ring.try_pop();
+        while (!v) {
+            ring.wait_for_data();
+            v = ring.try_pop();
+        }
+        ASSERT_EQ(*v, expect);
+    }
+    producer.join();
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(RaceParkWake, SpscRingBatchStormAtCapacityTwo) {
+    constexpr std::uint32_t kTotal = 20000;
+    SpscRing<std::uint32_t> ring(2);
+    std::thread producer([&] {
+        std::array<std::uint32_t, 3> stage{};
+        std::uint32_t next = 0;
+        while (next < kTotal) {
+            std::size_t n = 0;
+            while (n < stage.size() && next < kTotal) stage[n++] = next++;
+            std::size_t off = 0;
+            while (off < n) {
+                const std::size_t pushed =
+                    ring.push_batch(std::span(stage).subspan(off, n - off));
+                if (pushed == 0) ring.wait_for_space();
+                off += pushed;
+            }
+        }
+    });
+    std::array<std::uint32_t, 2> out{};
+    std::uint32_t expect = 0;
+    while (expect < kTotal) {
+        const std::size_t got = ring.pop_batch(std::span(out));
+        if (got == 0) ring.wait_for_data();
+        for (std::size_t i = 0; i < got; ++i) {
+            ASSERT_EQ(out[i], expect);
+            ++expect;
+        }
+    }
+    producer.join();
+}
+
+TEST(RaceParkWake, MpmcQueueStormDeliversExactlyOnce) {
+    // 2 producers park on a full 2-slot queue, 2 consumers park on an empty
+    // one; the consumer that takes the last item re-rings the pop side so
+    // its parked peer sees the stop condition and exits.
+    constexpr std::uint64_t kPerProducer = 10000;
+    constexpr std::uint64_t kTotal = 2 * kPerProducer;
+    htims::pipeline::MpmcQueue<std::uint64_t> queue(2);
+    std::atomic<std::uint64_t> consumed{0};
+    std::atomic<std::uint64_t> sum{0};
+    const auto all_consumed = [&] {
+        return consumed.load(std::memory_order_acquire) == kTotal;
+    };
+    std::vector<std::thread> threads;
+    for (std::uint64_t p = 0; p < 2; ++p) {
+        threads.emplace_back([&queue, p] {
+            for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+                std::uint64_t item = p * kPerProducer + i;
+                while (!queue.try_push(std::move(item))) queue.wait_for_slot();
+            }
+        });
+    }
+    for (int c = 0; c < 2; ++c) {
+        threads.emplace_back([&] {
+            while (!all_consumed()) {
+                if (auto v = queue.try_pop()) {
+                    sum.fetch_add(*v, std::memory_order_relaxed);
+                    if (consumed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+                        kTotal)
+                        queue.wake_item_waiters();
+                } else {
+                    queue.wait_for_item(all_consumed);
+                }
+            }
+        });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(consumed.load(), kTotal);
+    EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
+    EXPECT_TRUE(queue.empty());
+}
+
+double thread_cpu_seconds() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+TEST(RaceParkWake, IdleWaitersSleepInsteadOfSpinning) {
+    // A consumer parked on an empty ring, and a decode worker parked on an
+    // empty dispatch queue, for 200 ms each: a yield-spin would burn about
+    // the whole 200 ms of thread CPU, a parked thread almost none.
+    constexpr auto kIdle = std::chrono::milliseconds(200);
+    SpscRing<int> ring(4);
+    double ring_cpu_s = 0.0;
+    std::thread consumer([&] {
+        const double t0 = thread_cpu_seconds();
+        ring.wait_for_data();
+        ring_cpu_s = thread_cpu_seconds() - t0;
+        EXPECT_EQ(ring.try_pop(), std::optional<int>(1));
+    });
+    std::this_thread::sleep_for(kIdle);
+    ASSERT_TRUE(ring.try_push(1));
+    consumer.join();
+    EXPECT_LT(ring_cpu_s, 0.020);
+
+    htims::pipeline::MpmcQueue<int> queue(4);
+    double queue_cpu_s = 0.0;
+    std::thread worker([&] {
+        const double t0 = thread_cpu_seconds();
+        queue.wait_for_item([] { return false; });
+        queue_cpu_s = thread_cpu_seconds() - t0;
+        EXPECT_EQ(queue.try_pop(), std::optional<int>(2));
+    });
+    std::this_thread::sleep_for(kIdle);
+    ASSERT_TRUE(queue.try_push(2));
+    worker.join();
+    EXPECT_LT(queue_cpu_s, 0.020);
+}
+
+// A paced source: frame f's records are released f * period_ns after the
+// stream starts, so between frames the whole decode pool sits parked.
+class FramePacedSource final : public htims::pipeline::RecordSource {
+public:
+    FramePacedSource(std::vector<std::uint32_t> period,
+                     const htims::pipeline::FrameLayout& layout,
+                     std::uint64_t frames, std::uint64_t period_ns)
+        : inner_(std::move(period), layout, frames, 1),
+          records_per_frame_(layout.drift_bins),
+          period_ns_(period_ns) {}
+
+    std::uint64_t total_records() const override { return inner_.total_records(); }
+    std::span<const std::uint32_t> record(std::uint64_t seq) override {
+        return inner_.record(seq);
+    }
+    std::uint64_t release_ns(std::uint64_t seq) const override {
+        return seq / records_per_frame_ * period_ns_;
+    }
+
+private:
+    htims::pipeline::PeriodTemplateSource inner_;
+    std::uint64_t records_per_frame_;
+    std::uint64_t period_ns_;
+};
+
+TEST(RaceFleet, StartStopWhileWorkersAreParked) {
+    // 2 paced streams over 4 workers: most workers are parked on the empty
+    // dispatch queue for most of the run, and the last consumer's exit must
+    // wake every one of them so run() returns.
+    static const htims::prs::OversampledPrs seq(5, 1,
+                                                htims::prs::GateMode::kPulsed);
+    const htims::pipeline::FrameLayout layout{
+        .drift_bins = seq.length(), .mz_bins = 8, .drift_bin_width_s = 1e-4};
+    for (int round = 0; round < 3; ++round) {
+        std::vector<std::unique_ptr<FramePacedSource>> sources;
+        std::vector<htims::pipeline::FleetStream> streams;
+        for (std::size_t si = 0; si < 2; ++si) {
+            sources.push_back(std::make_unique<FramePacedSource>(
+                std::vector<std::uint32_t>(layout.cells(), 1), layout, 3,
+                10'000'000));
+            htims::pipeline::HybridConfig cfg;
+            cfg.backend = htims::pipeline::BackendKind::kCpu;
+            cfg.frames = 3;
+            cfg.cpu_threads = 1;
+            streams.push_back(htims::pipeline::FleetStream{
+                seq, layout, cfg, {}, sources.back().get()});
+        }
+        htims::pipeline::FleetConfig fc;
+        fc.decode_workers = 4;
+        const auto report =
+            htims::pipeline::FleetRunner(std::move(streams), fc).run();
+        for (const auto& s : report.streams) EXPECT_EQ(s.report.frames, 3u);
+    }
+}
+
+TEST(RaceFleet, WorkerFailureReleasesConsumersParkedOnFreeBuffers) {
+    // Both workers hold a stream's only in-flight buffer inside a slow sink,
+    // so both consumers are parked waiting for a free buffer when stream 0's
+    // sink throws: the failing worker must release every parked consumer
+    // and run() must surface the failure instead of hanging.
+    for (int round = 0; round < 3; ++round) {
+        std::vector<htims::pipeline::FleetStream> streams;
+        for (std::size_t si = 0; si < 2; ++si) {
+            streams.push_back(race_fleet_stream(si, 4));
+            streams.back().config.decode_buffers = 2;
+            streams.back().config.frame_sink =
+                [si](std::size_t index, const htims::pipeline::Frame&) {
+                    if (index != 0) return;
+                    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+                    if (si == 0) throw std::runtime_error("sink rejected frame");
+                };
+        }
+        htims::pipeline::FleetConfig fc;
+        fc.decode_workers = 2;
+        EXPECT_THROW(
+            htims::pipeline::FleetRunner(std::move(streams), fc).run(),
+            std::runtime_error)
+            << "round " << round;
     }
 }
 
