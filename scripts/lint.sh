@@ -20,13 +20,12 @@
 #                * no `std::endl` anywhere in src/, bench/, or examples/ —
 #                  the pipeline writes through buffered streams, and endl's
 #                  flush in a per-frame loop is a silent throughput bug;
-#                * no naked `std::thread` outside src/common/thread_pool.*,
-#                  src/pipeline/hybrid.cpp, and src/pipeline/fleet.cpp —
-#                  thread lifetime is owned by ThreadPool; the orchestrators
-#                  are allowlisted because their producer/consumer/worker
-#                  threads are constructed and joined inside one scope of
-#                  run(), which *is* the ownership rule. Tests may spawn
-#                  threads freely.
+#                * no naked `std::thread` outside src/common/thread_pool.*
+#                  and src/pipeline/fleet.cpp — thread lifetime is owned by
+#                  ThreadPool; the streaming engine is allowlisted because
+#                  its producer/consumer/worker threads are constructed and
+#                  joined inside one scope of its run(), which *is* the
+#                  ownership rule. Tests may spawn threads freely.
 #                * every `std::atomic` outside src/common/ (the atomics
 #                  policy itself) and src/check/ (the model checker's shadow
 #                  atomics) must be accounted for in the "Concurrency
@@ -41,7 +40,10 @@
 #                  instead of spinning a core away. The one allow-listed
 #                  site is the line-rate pacing tail inside produce_stream
 #                  (src/pipeline/stream_link.hpp), which spins the last
-#                  sub-quantum stretch before a record's release time.
+#                  sub-quantum stretch before a record's release time. Nor
+#                  any `std::condition_variable` in src/pipeline/: every
+#                  handoff there parks on a Doorbell, none on a mutex and
+#                  condvar.
 #
 # Usage: scripts/lint.sh [--no-tidy] [--no-werror] [--no-rules]
 set -uo pipefail
@@ -140,24 +142,22 @@ if [[ "$run_rules" == 1 ]]; then
         fi
     done < <(find src bench examples -name '*.cpp' -o -name '*.hpp' | sort)
 
-    # Rule 3: no naked std::thread outside the thread pool and the hybrid
-    # orchestrator (whose producer and decode worker are constructed and
-    # joined in one scope).
+    # Rule 3: no naked std::thread outside the thread pool and the
+    # streaming engine.
     while IFS= read -r f; do
         case "$f" in
             src/common/thread_pool.hpp|src/common/thread_pool.cpp) continue ;;
-            src/pipeline/hybrid.cpp) continue ;;
-            # The fleet orchestrator follows the same rule: every producer,
-            # consumer, and pool worker thread is constructed and joined
-            # inside one scope of FleetRunner::run().
+            # The streaming engine: every producer, consumer, and pool
+            # worker thread is constructed and joined inside one scope of
+            # its run().
             src/pipeline/fleet.cpp) continue ;;
             # The model checker owns its pool of cooperative worker threads
             # outright (created by the explorer, joined in wind-down) — the
-            # same single-scope ownership rule as hybrid.cpp.
+            # same single-scope ownership rule as the engine.
             src/check/model.cpp) continue ;;
         esac
         if decomment "$f" | grep -nE 'std::thread[^_[:alnum:]]' | grep -q .; then
-            echo "rule violation (naked std::thread outside thread_pool/hybrid): $f"
+            echo "rule violation (naked std::thread outside thread_pool/fleet): $f"
             decomment "$f" | grep -nE 'std::thread[^_[:alnum:]]'
             rules_bad=1
         fi
@@ -184,9 +184,10 @@ if [[ "$run_rules" == 1 ]]; then
     done < <(find src -name '*.cpp' -o -name '*.hpp' |
              grep -vE '^src/(common|check)/' | sort)
 
-    # Rule 5: no yield-spin in the streaming layer. Allow-list entries are
-    # "file:function"; a yield is allowed only between that function's
-    # signature line and the next closing brace in column 0.
+    # Rule 5: no yield-spin and no condition variable in the streaming
+    # layer. Yield allow-list entries are "file:function"; a yield is
+    # allowed only between that function's signature line and the next
+    # closing brace in column 0.
     yield_allow=("src/pipeline/stream_link.hpp:produce_stream")
     while IFS= read -r f; do
         allowed_ranges=()
@@ -210,6 +211,11 @@ if [[ "$run_rules" == 1 ]]; then
                  "layer; park on a Doorbell instead): $f:$lineno"
             rules_bad=1
         done < <(decomment "$f" | grep -n 'std::this_thread::yield' | cut -d: -f1)
+        while IFS= read -r lineno; do
+            echo "rule violation (std::condition_variable in the streaming" \
+                 "layer; park on a Doorbell instead): $f:$lineno"
+            rules_bad=1
+        done < <(decomment "$f" | grep -n 'std::condition_variable' | cut -d: -f1)
     done < <(find src/pipeline -name '*.cpp' -o -name '*.hpp' | sort)
 
     if [[ "$rules_bad" == 0 ]]; then

@@ -23,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -232,6 +233,30 @@ void litmus_mpmc_last_consumer_exit() {
     w1.join();
     w2.join();
     MODEL_ASSERT(got1.load_plain() + got2.load_plain() == 5);
+}
+
+/// The engine's free-list abort release: a stream consumer parks on its
+/// empty free list (pop, else stop once the pool is down, else park) while
+/// a failing decode worker sets `decode_down` and rings the free list
+/// instead of returning a buffer. The flag store is relaxed; the doorbell
+/// RMW orders it before the parked consumer's re-check, so the consumer
+/// must wake and stop — a consumer left parked is a deadlock.
+template <typename P>
+void litmus_free_list_abort_release() {
+    pipeline::MpmcQueue<std::uint64_t, P> free_list(2);
+    typename P::template atomic<bool> decode_down{false};
+    const auto pool_down = [&] {
+        return decode_down.load(std::memory_order_relaxed);
+    };
+    thread worker([&] {
+        decode_down.store(true, std::memory_order_relaxed);
+        free_list.wake_item_waiters();
+    });
+    std::optional<std::uint64_t> spare;
+    while (!pool_down() && !(spare = free_list.try_pop()))
+        free_list.wait_for_item(pool_down);
+    MODEL_ASSERT(!spare.has_value());
+    worker.join();
 }
 
 /// N workers emit through the turnstile in frame order; a shared plain cell
@@ -563,6 +588,9 @@ inline const std::vector<LitmusUnit>& litmus_units() {
          litmus_mpmc_last_consumer_exit<ModelAtomics>,
          litmus_mpmc_last_consumer_exit<MutantDoorbellSkipWake>,
          /*preemption_cap=*/3},
+        {"free_list_abort_release", "doorbell_skip_wake",
+         litmus_free_list_abort_release<ModelAtomics>,
+         litmus_free_list_abort_release<MutantDoorbellSkipWake>},
         {"trace_snapshot_during_record", "trace_publish_relaxed",
          litmus_trace_snapshot_during_record<ModelAtomics>,
          litmus_trace_snapshot_during_record<MutantTracePublishRelaxed>},

@@ -71,7 +71,10 @@ public:
         void (*invoke_)(void*, std::size_t, std::size_t);
     };
 
-    /// Run fn(begin, end) over [0, n) and wait for completion. `grain` is
+    /// Run fn(begin, end) over [0, n) and wait for completion. Pool threads
+    /// invoke one shared reference to `fn` concurrently (it is not copied
+    /// per chunk), so a callable with mutable state must make that state
+    /// safe for concurrent calls or keep it local to each call. `grain` is
     /// the minimum number of indices per chunk: 0 (the default) balances
     /// chunks across workers and runs inline when n is too small to be worth
     /// a dispatch; an explicit grain declares "one grain of indices is

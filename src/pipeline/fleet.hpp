@@ -1,4 +1,5 @@
-// fleet.hpp — multi-stream fleet orchestrator over a shared decode pool.
+// fleet.hpp — the streaming engine: N instrument streams over a shared
+// decode pool.
 //
 // A production deployment runs many instruments against one processing
 // host. FleetRunner models that: N independent streams — each with its own
@@ -7,17 +8,28 @@
 // SPSC rings, and every closed frame travels through ONE bounded lock-free
 // MPMC dispatch queue (pipeline/mpmc_queue.hpp) to a shared pool of M
 // decode workers. Per-stream ordered-emission turnstiles
-// (pipeline/turnstile.hpp) restore frame order within each stream, so each
-// stream's output is bit-identical to the same configuration run solo
-// through HybridPipeline — the fleet-parity digest matrix in
-// tests/test_fleet.cpp pins exactly that, across mixed CPU/FPGA backends,
-// mixed live/replay sources, and worker counts.
+// (pipeline/turnstile.hpp) restore frame order within each stream.
+//
+// This is the only streaming orchestrator: HybridPipeline runs it as a
+// fleet of one stream, with M = decode_workers when overlap_decode is on
+// and M = 0 otherwise — no pool, each consumer decodes its own frames
+// inline. A stream's output is therefore bit-identical whether it runs solo
+// or in a fleet; the fleet-parity digest matrix in tests/test_fleet.cpp
+// pins that across mixed CPU/FPGA backends, mixed live/replay sources, and
+// worker counts.
+//
+// What the engine derives instead of asking for:
+//   * frames in flight per stream: ceil(M / N) + 1 — one accumulating at
+//     the consumer plus one for each worker of the stream's share of the
+//     pool. Spare buffers recycle through a per-stream lock-free free list
+//     and are sized on first use, on the consumer thread;
+//   * CPU decoder threads: cpu_threads for inline decode and for a
+//     one-worker pool; max(1, T / M) with M > 1 workers, T being
+//     cpu_threads (0 = hardware concurrency).
 //
 // Identity comes from structure, not luck:
 //   * the ingest protocol bodies (produce_stream / consume_stream in
-//     pipeline/stream_link.hpp) are the very templates HybridPipeline runs,
-//     so transport semantics — batching, pacing, ring-full policies, fault
-//     event order — are shared code, not a reimplementation;
+//     pipeline/stream_link.hpp) are shared by every stream;
 //   * frames are dispatched in frame order per stream and the MPMC queue is
 //     FIFO, so the lowest undecoded frame index of a stream is always held
 //     by some worker — ordered emission never deadlocks;
@@ -27,13 +39,15 @@
 //
 // Failure isolation: a fault plan on stream k degrades (or, on a terminal
 // error, fails) stream k alone; other streams' digests and counters are
-// untouched. Telemetry is sharded per stream (cache-line-padded shards, no
+// untouched. Per-stream telemetry is sharded (cache-line-padded shards, no
 // cross-stream false sharing) and aggregated into the FleetReport, whose
 // JSON rendering (fleet_report_json) carries per-stream and aggregate p99
-// frame latency — the E16 bench protocol's scaling evidence.
+// frame latency — the E16 bench protocol's scaling evidence. Every stream
+// also feeds the hybrid.* instruments of the global telemetry registry.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,28 +57,11 @@
 
 namespace htims::pipeline {
 
-/// One instrument stream of a fleet. `config` is a full HybridConfig; the
-/// fleet honours everything the solo orchestrator does except the decode-
-/// overlap knobs (`overlap_decode`, `decode_workers`) — decode is always
-/// overlapped through the shared pool, with `decode_buffers` still bounding
-/// this stream's frames in flight.
-struct FleetStream {
-    prs::OversampledPrs sequence;  ///< this stream's PRS (seed included)
-    FrameLayout layout;
-    HybridConfig config;
-    /// Live source: one period of samples replayed averages x frames times
-    /// (ignored when `source` is set).
-    std::vector<std::uint32_t> period_samples;
-    /// External source (e.g. store::ReplaySource); must outlive run() and
-    /// deliver exactly frames x averages x drift_bins records.
-    RecordSource* source = nullptr;
-};
-
 /// Fleet-wide knobs.
 struct FleetConfig {
     std::size_t decode_workers = 2;  ///< shared decode pool size (>= 1)
     /// Dispatch queue depth in frames; 0 sizes it so a queue-full condition
-    /// is impossible (the per-stream buffer pools bound the in-flight total).
+    /// is impossible (the per-stream free lists bound the in-flight total).
     /// Smaller values exercise dispatch backpressure: a stream whose frames
     /// meet a full queue stalls its consumer, which fills its ring and
     /// stalls its producer — never its neighbours'.
@@ -75,7 +72,7 @@ struct FleetConfig {
 /// close-to-emission frame latency distribution.
 struct FleetStreamReport {
     HybridReport report;
-    telemetry::HistogramSummary frame_latency;  ///< ns, dispatch -> emission
+    telemetry::HistogramSummary frame_latency;  ///< ns, close -> emission
 };
 
 /// Fleet outcome: per-stream reports and the cross-stream aggregates.
@@ -95,8 +92,9 @@ struct FleetReport {
 /// throughput, degradation counters, and p50/p95/p99 frame latency.
 std::string fleet_report_json(const FleetReport& report);
 
-/// The fleet orchestrator. Owns every thread for the duration of run():
-/// one producer + one consumer per stream, plus the shared decode pool.
+/// The fleet orchestrator. Every thread lives only for the duration of
+/// run(): one producer + one consumer per stream (the calling thread serves
+/// the last stream's consumer), plus the shared decode pool.
 class FleetRunner {
 public:
     /// Validates every stream's configuration eagerly (ConfigError on a bad
@@ -115,5 +113,19 @@ private:
     std::vector<FleetStream> streams_;
     FleetConfig config_;
 };
+
+namespace detail {
+
+/// The per-stream configuration check shared by HybridPipeline and
+/// FleetRunner. Throws ConfigError; every message starts with `who`.
+void validate_stream(const FleetStream& stream, const std::string& who);
+
+/// Run `streams` to completion on the streaming engine with a shared pool
+/// of `decode_workers` workers; 0 means no pool, each consumer decoding its
+/// own frames inline. `dispatch_depth` as in FleetConfig.
+FleetReport run_streams(std::span<const FleetStream> streams,
+                        std::size_t decode_workers, std::size_t dispatch_depth);
+
+}  // namespace detail
 
 }  // namespace htims::pipeline

@@ -9,6 +9,11 @@
 // consumer idle time (source too slow), and whether the pipeline sustains
 // the instrument's native data rate.
 //
+// HybridPipeline is the streaming engine (pipeline/fleet.cpp) run as a
+// fleet of one stream: FleetRunner and HybridPipeline share every line of
+// transport, decode and emission code, so a stream behaves bit-identically
+// whether it runs alone or in a fleet.
+//
 // Degraded-mode operation: a real instrument run cannot abort mid-gradient
 // because the link briefly outran the decoder. The ring-full policy decides
 // what the producer does when the link is saturated (block as before, drop
@@ -23,11 +28,14 @@
 // each closed frame inline, so ring pops pause for the decode and the
 // producer stalls exactly when the paper's architecture says it shouldn't.
 // With overlap on, the consumer hands each closed frame to a pool of
-// decode workers (decode_workers, default 1) and immediately resumes
-// popping into a recycled buffer — capture and deconvolution overlap as on
-// the real XD1. Workers decode concurrently but emit through a
-// sequence-ordered turnstile, so results still complete in frame order,
-// bit-identical to the synchronous path.
+// decode_workers workers and immediately resumes popping into a recycled
+// buffer — capture and deconvolution overlap as on the real XD1. The
+// stream keeps decode_workers + 1 frames in flight (one accumulating, one
+// per worker), so the consumer never waits while a worker is idle. Workers
+// decode concurrently but emit through a sequence-ordered turnstile, so
+// results still complete in frame order, bit-identical to the synchronous
+// path. A CPU decoder gets cpu_threads threads with one worker and an even
+// share of them (at least one) with several.
 //
 // Batch transport (batch_records): the producer stages up to a frame's
 // worth of consecutive records and publishes them with one ring operation,
@@ -153,14 +161,9 @@ struct HybridConfig {
 
     bool overlap_decode = false;    ///< decode frame k on a worker thread
                                     ///< while frame k+1 streams in
-    std::size_t decode_buffers = 2; ///< frames in flight with overlap on
-                                    ///< (one accumulating + the rest queued
-                                    ///< or decoding); must be >= 2 and is
-                                    ///< raised to decode_workers + 1 so
-                                    ///< every worker can hold a frame
     std::size_t decode_workers = 1; ///< decode worker threads with overlap
-                                    ///< on; results are reassembled in
-                                    ///< sequence order whatever the count
+                                    ///< on (>= 1); results are reassembled
+                                    ///< in sequence order whatever the count
 
     /// Optional per-frame sink, called once per decoded frame with its
     /// index. Runs on a decode worker in overlap mode and on the consumer
@@ -169,8 +172,8 @@ struct HybridConfig {
     std::function<void(std::size_t, const Frame&)> frame_sink;
 
     /// Optional streaming analysis stage, invoked from the same ordered
-    /// emission point as frame_sink (right after it) with stream id 0 —
-    /// the fleet runner passes its own per-stream ids instead. The ordered
+    /// emission point as frame_sink (right after it) with the stream's
+    /// index as its id (0 for a solo run). The ordered
     /// call sequence is what makes the stage's greedy clustering
     /// deterministic across decode-worker counts. Not owned.
     analysis::AnalysisStage* analysis = nullptr;
@@ -209,7 +212,22 @@ struct HybridReport {
     }
 };
 
-/// The orchestrator. Owns both threads for the duration of run().
+/// One instrument stream as the streaming engine runs it: HybridPipeline
+/// runs one, FleetRunner runs N over a shared decode pool.
+struct FleetStream {
+    prs::OversampledPrs sequence;  ///< this stream's PRS (seed included)
+    FrameLayout layout;
+    HybridConfig config;
+    /// Live source: one period of samples replayed averages x frames times
+    /// (ignored when `source` is set).
+    std::vector<std::uint32_t> period_samples;
+    /// External source (e.g. store::ReplaySource); must outlive run() and
+    /// deliver exactly frames x averages x drift_bins records.
+    RecordSource* source = nullptr;
+};
+
+/// The solo orchestrator: the streaming engine run as a fleet of one.
+/// Every thread it uses lives only for the duration of run().
 class HybridPipeline {
 public:
     /// `period_samples` is one period of digitized detector output in frame
@@ -224,17 +242,14 @@ public:
     HybridPipeline(const prs::OversampledPrs& sequence, const FrameLayout& layout,
                    RecordSource& source, const HybridConfig& config);
 
-    const FrameLayout& layout() const { return layout_; }
+    const FrameLayout& layout() const { return stream_.layout; }
 
     /// Execute the streaming run; blocking.
     HybridReport run();
 
 private:
-    prs::OversampledPrs sequence_;
-    FrameLayout layout_;
     std::optional<PeriodTemplateSource> template_source_;
-    RecordSource* source_ = nullptr;
-    HybridConfig config_;
+    FleetStream stream_;  ///< `source` is template_source_ or the caller's
 };
 
 /// Helper: reduce an accumulated raw frame back to one representative

@@ -1,33 +1,23 @@
-// stream_link.hpp — the per-stream ingest protocol shared by the hybrid
-// orchestrator and the fleet runner.
+// stream_link.hpp — the per-stream ingest protocol of the streaming engine.
 //
 // One instrument stream is: a producer thread replaying a RecordSource into
 // a bounded SPSC ring (batch-staged, line-rate paced, fault-injected, with
 // the ring-full policy machinery), and a consumer loop that drains the ring
 // in batches, closes frames by watching the sequence tags, and accounts
-// drops/degradation. HybridPipeline::run() drives exactly one of these;
-// FleetRunner drives N of them over a shared decode pool. The protocol
-// bodies live here as templates so both orchestrators run byte-identical
-// transport logic — the fleet-parity digest matrix in tests/test_fleet.cpp
-// pins that a stream behaves bit-identically whether it runs solo or in a
-// fleet.
+// drops/degradation. The streaming engine (pipeline/fleet.cpp) drives one
+// of these per stream — HybridPipeline as a fleet of one, FleetRunner N of
+// them over a shared decode pool.
 //
 // Telemetry and report accounting stay at the call site: the templates take
 // small hook bundles (aggregate-initialized structs of callables, fully
-// inlined) so the hybrid path keeps its global registry counters and the
-// fleet path its per-stream sharded counters without either paying for the
-// other's bookkeeping.
+// inlined).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <utility>
@@ -371,83 +361,5 @@ inline void drain_to_end(SpscRing<Block>& ring) {
         if (block->end) return;
     }
 }
-
-/// Handoff between a stream's consumer and the decode side: a pool of
-/// reusable buffers ("free") and a FIFO of closed frames awaiting decode
-/// ("work"). The hybrid orchestrator uses both halves with its private
-/// worker pool; the fleet runner uses the free half per stream (closed
-/// frames travel through the shared MPMC dispatch queue instead) — the
-/// free list is what bounds each stream's frames in flight. close()
-/// releases workers once the stream ends; abort() releases a consumer
-/// blocked on pop_free() when a worker dies mid-run (no buffer would ever
-/// return).
-template <typename Job>
-class DecodeChannel {
-public:
-    void push_free(Job job) {
-        {
-            std::lock_guard lock(mutex_);
-            free_.push_back(std::move(job));
-        }
-        cv_free_.notify_one();
-    }
-
-    /// Blocks until a spent buffer comes back; nullopt after abort().
-    std::optional<Job> pop_free() {
-        std::unique_lock lock(mutex_);
-        cv_free_.wait(lock, [&] { return !free_.empty() || aborted_; });
-        if (free_.empty()) return std::nullopt;
-        Job job = std::move(free_.front());
-        free_.pop_front();
-        return job;
-    }
-
-    /// Queue a closed frame; returns the queue depth just after the push.
-    std::size_t push_work(Job job) {
-        std::size_t depth = 0;
-        {
-            std::lock_guard lock(mutex_);
-            work_.push_back(std::move(job));
-            depth = work_.size();
-        }
-        cv_work_.notify_one();
-        return depth;
-    }
-
-    /// Blocks for the next closed frame; nullopt once closed and drained.
-    std::optional<Job> pop_work() {
-        std::unique_lock lock(mutex_);
-        cv_work_.wait(lock, [&] { return !work_.empty() || closed_; });
-        if (work_.empty()) return std::nullopt;
-        Job job = std::move(work_.front());
-        work_.pop_front();
-        return job;
-    }
-
-    void close() {
-        {
-            std::lock_guard lock(mutex_);
-            closed_ = true;
-        }
-        cv_work_.notify_all();
-    }
-
-    void abort() {
-        {
-            std::lock_guard lock(mutex_);
-            aborted_ = true;
-        }
-        cv_free_.notify_all();
-    }
-
-private:
-    std::mutex mutex_;
-    std::condition_variable cv_free_;
-    std::condition_variable cv_work_;
-    std::deque<Job> free_;
-    std::deque<Job> work_;
-    bool closed_ = false;
-    bool aborted_ = false;
-};
 
 }  // namespace htims::pipeline

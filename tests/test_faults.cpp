@@ -3,11 +3,13 @@
 // the CPU backend, and the FPGA model.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <span>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
-
-#include <string>
 
 #include "common/error.hpp"
 #include "fault/fault.hpp"
@@ -447,31 +449,72 @@ TEST(FaultedHybrid, SameSeedReproducesInjectionCountsExactly) {
               first.faults.injected_at(fault::Site::kLinkOverrun));
 }
 
+/// A period-template source that holds back record(seq) for seq >= `gate`
+/// until `open()` holds, so a test can start a consumer stall with a known
+/// set of records on the link. The wait is bounded; `timed_out()` reports
+/// whether it expired.
+class GatedSource final : public RecordSource {
+public:
+    GatedSource(std::vector<std::uint32_t> period, const FrameLayout& layout,
+                std::uint64_t frames, std::uint64_t gate,
+                std::function<bool()> open)
+        : inner_(std::move(period), layout, frames, 1),
+          gate_(gate),
+          open_(std::move(open)) {}
+
+    std::uint64_t total_records() const override {
+        return inner_.total_records();
+    }
+    std::span<const std::uint32_t> record(std::uint64_t seq) override {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (seq >= gate_ && !opened_) {
+            opened_ = open_();
+            if (!opened_ && std::chrono::steady_clock::now() > deadline) {
+                timed_out_ = true;
+                break;
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        return inner_.record(seq);
+    }
+    bool timed_out() const { return timed_out_; }
+
+private:
+    PeriodTemplateSource inner_;
+    std::uint64_t gate_;
+    std::function<bool()> open_;
+    bool opened_ = false;
+    bool timed_out_ = false;
+};
+
 TEST(FaultedHybrid, DropOldestTimeoutDropsEachDisplacedRecordExactlyOnce) {
     // Regression: kDropOldest with ring_timeout_s grants a drop credit and
     // then the bounded push itself can expire, dropping the same record a
     // second time via the seq gap — the stale credit later discards a live
     // record that displaced nothing. The credit must be revoked on expiry.
     //
-    // Deterministic schedule: link jitter on every record paces the
-    // producer (>= 10us/record) so the link stays shallow while the
-    // consumer is live; the scheduled cpu.fail at frame 0's close then
-    // stalls the consumer for cpu_retry_backoff_s. Frame 0 closes on its
-    // last record (seq 30), so the stall starts with seq 31 still queued:
-    // the producer fills the 16-record link (seqs 31..46) and times out on
-    // each of seqs 47..61 — exactly 15 records, all in frame 1, each
-    // dropped exactly once. With the stale-credit bug the count doubles to
-    // 30.
+    // Deterministic schedule: the 32-record link holds all of frame 0 (31
+    // records), so frame 0 never meets a full ring, and the source holds
+    // back seq 31 until the scheduled cpu.fail at frame 0's close has
+    // fired. The consumer then stalls for cpu_retry_backoff_s with an empty
+    // link: the producer fills it with seqs 31..62 and times out on each of
+    // seqs 63..92 — exactly 30 records, all in frame 2, each dropped
+    // exactly once. With the stale-credit bug the count doubles to 60.
     const prs::OversampledPrs seq(5, 1, prs::GateMode::kPulsed);  // 31 records
     const auto layout = small_layout(seq, 16);
-    std::vector<std::uint32_t> period(layout.cells(), 1);
     fault::FaultInjector faults(
         fault::FaultPlan::parse("seed=41,link.jitter=1,cpu.fail@0"));
+    GatedSource source(std::vector<std::uint32_t>(layout.cells(), 1), layout, 3,
+                       31, [&faults] {
+                           return faults.counts().injected_at(
+                                      fault::Site::kCpuFault) >= 1;
+                       });
     HybridConfig cfg;
     cfg.backend = BackendKind::kCpu;
-    cfg.frames = 2;
+    cfg.frames = 3;
     cfg.averages = 1;
-    cfg.ring_records = 16;
+    cfg.ring_records = 32;
     cfg.batch_records = 1;  // the schedule below counts on per-record
                             // transport granularity (pop-one, process-one)
     cfg.cpu_threads = 2;
@@ -479,17 +522,18 @@ TEST(FaultedHybrid, DropOldestTimeoutDropsEachDisplacedRecordExactlyOnce) {
     cfg.ring_timeout_s = 0.02;
     cfg.cpu_retry_backoff_s = 1.5;  // the deterministic consumer stall
     cfg.faults = &faults;
-    const auto report = HybridPipeline(seq, layout, period, cfg).run();
-    EXPECT_EQ(report.frames, 2u);
+    const auto report = HybridPipeline(seq, layout, source, cfg).run();
+    EXPECT_FALSE(source.timed_out());
+    EXPECT_EQ(report.frames, 3u);
     EXPECT_EQ(report.cpu_task_retries, 1u);
-    EXPECT_EQ(report.records_dropped, 15u);
+    EXPECT_EQ(report.records_dropped, 30u);
     EXPECT_EQ(report.frames_degraded, 1u);
     // Every timed-out push is a real stall; the histogram must see them
     // too (the timeout exit used to skip hybrid.producer_stall_ns).
-    EXPECT_GE(report.producer_stall_seconds, 15 * 0.02);
+    EXPECT_GE(report.producer_stall_seconds, 30 * 0.02);
     for (const auto& h : report.telemetry.histograms) {
         if (h.name == "hybrid.producer_stall_ns") {
-            EXPECT_GE(h.summary.count, 15u);
+            EXPECT_GE(h.summary.count, 30u);
         }
     }
 }

@@ -239,12 +239,14 @@ TEST(FleetParity, FaultedStreamDegradesAloneAndDeterministically) {
     // Stream 0 runs under a forced-overrun fault plan with a drop policy;
     // streams 1 and 2 are clean. The faulted stream must (a) actually
     // degrade, (b) match its solo twin bit for bit (fault draws are
-    // per-stream deterministic), and neighbours must stay pristine.
+    // per-stream deterministic), and neighbours must stay pristine. The
+    // faulted ring holds the whole stream, so it never fills on its own:
+    // the forced overruns are the only drops, on any host and any load.
     const std::string plan = "seed=21,link.overrun@0:3:7";
     const auto faulted_config = [&](std::vector<std::uint64_t>* digests,
                                     fault::FaultInjector* injector) {
         auto cfg = fleet_stream_config(1);  // CPU backend
-        cfg.ring_records = 8;
+        cfg.ring_records = 256;
         cfg.ring_policy = RingFullPolicy::kDropNewest;
         cfg.faults = injector;
         cfg.frame_sink = [digests](std::size_t index, const Frame& frame) {
@@ -261,7 +263,9 @@ TEST(FleetParity, FaultedStreamDegradesAloneAndDeterministically) {
                                 fleet_period(1), faulted_config(&solo, &injector));
         solo_report = pipeline.run();
     }
-    ASSERT_GT(solo_report.records_dropped, 0u);
+    ASSERT_EQ(solo_report.records_dropped, 3u);
+    ASSERT_EQ(solo_report.records_dropped,
+              solo_report.faults.injected_at(fault::Site::kLinkOverrun));
     ASSERT_GT(solo_report.frames_degraded, 0u);
 
     const ReplayFixture replays(0);
@@ -285,6 +289,10 @@ TEST(FleetParity, FaultedStreamDegradesAloneAndDeterministically) {
     const auto report = FleetRunner(std::move(streams), FleetConfig{2}).run();
 
     EXPECT_EQ(digests[0], solo);
+    EXPECT_EQ(report.streams[0].report.records_dropped, 3u);
+    EXPECT_EQ(report.streams[0].report.records_dropped,
+              report.streams[0].report.faults.injected_at(
+                  fault::Site::kLinkOverrun));
     EXPECT_EQ(report.streams[0].report.records_dropped,
               solo_report.records_dropped);
     EXPECT_EQ(report.streams[0].report.frames_degraded,

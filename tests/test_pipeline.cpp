@@ -4,10 +4,12 @@
 // hybrid orchestrator.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <thread>
 
 #include "common/error.hpp"
@@ -699,8 +701,8 @@ struct DigestRun {
     std::vector<std::uint64_t> digests;
 };
 
-DigestRun digest_run(BackendKind backend, bool overlap, std::size_t buffers = 2,
-                     std::size_t workers = 1, std::size_t batch = 32) {
+DigestRun digest_run(BackendKind backend, bool overlap, std::size_t workers = 1,
+                     std::size_t batch = 32) {
     const prs::OversampledPrs seq(6, 1, prs::GateMode::kPulsed);
     FrameLayout layout{.drift_bins = seq.length(), .mz_bins = 8,
                        .drift_bin_width_s = 1e-4};
@@ -713,7 +715,6 @@ DigestRun digest_run(BackendKind backend, bool overlap, std::size_t buffers = 2,
     cfg.averages = 2;
     cfg.cpu_threads = 2;
     cfg.overlap_decode = overlap;
-    cfg.decode_buffers = buffers;
     cfg.decode_workers = workers;
     cfg.batch_records = batch;
     DigestRun run;
@@ -733,13 +734,8 @@ TEST(HybridOverlap, ConfigValidation) {
     std::vector<std::uint32_t> period(layout.cells(), 1);
     HybridConfig cfg;
     cfg.overlap_decode = true;
-    cfg.decode_buffers = 1;
-    EXPECT_THROW(HybridPipeline(seq, layout, period, cfg), ConfigError);
-    // A sub-2 buffer count is inert while overlap stays off.
-    cfg.overlap_decode = false;
     EXPECT_NO_THROW(HybridPipeline(seq, layout, period, cfg));
     // Zero decode workers or a zero-record batch is never meaningful.
-    cfg = HybridConfig{};
     cfg.decode_workers = 0;
     EXPECT_THROW(HybridPipeline(seq, layout, period, cfg), ConfigError);
     cfg = HybridConfig{};
@@ -750,15 +746,16 @@ TEST(HybridOverlap, ConfigValidation) {
 TEST(HybridOverlap, CpuDigestsMatchSynchronousPath) {
     const auto sync_run = digest_run(BackendKind::kCpu, false);
     EXPECT_EQ(digest_run(BackendKind::kCpu, true).digests, sync_run.digests);
-    // Extra buffers deepen the handoff queue without changing results.
-    EXPECT_EQ(digest_run(BackendKind::kCpu, true, 3).digests, sync_run.digests);
+    // A second worker deepens the handoff (3 frames in flight) without
+    // changing results.
+    EXPECT_EQ(digest_run(BackendKind::kCpu, true, 2).digests, sync_run.digests);
 }
 
 TEST(HybridOverlap, FpgaDigestsMatchSynchronousPath) {
     const auto sync_run = digest_run(BackendKind::kFpga, false);
     const auto overlap_run = digest_run(BackendKind::kFpga, true);
     EXPECT_EQ(overlap_run.digests, sync_run.digests);
-    EXPECT_EQ(digest_run(BackendKind::kFpga, true, 4).digests, sync_run.digests);
+    EXPECT_EQ(digest_run(BackendKind::kFpga, true, 3).digests, sync_run.digests);
     // The detached-capture accounting matches the synchronous reports too.
     EXPECT_EQ(overlap_run.report.fpga.capture_cycles,
               sync_run.report.fpga.capture_cycles);
@@ -773,7 +770,7 @@ TEST(HybridOverlap, MultiWorkerDigestsMatchSynchronousPath) {
     for (auto backend : {BackendKind::kCpu, BackendKind::kFpga}) {
         const auto sync_run = digest_run(backend, false);
         for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-            const auto run = digest_run(backend, true, 2, workers);
+            const auto run = digest_run(backend, true, workers);
             EXPECT_EQ(run.digests, sync_run.digests)
                 << "backend=" << static_cast<int>(backend)
                 << " workers=" << workers;
@@ -784,7 +781,7 @@ TEST(HybridOverlap, MultiWorkerDigestsMatchSynchronousPath) {
 
 TEST(HybridOverlap, MultiWorkerFpgaReportsMatchSynchronousAccounting) {
     const auto sync_run = digest_run(BackendKind::kFpga, false);
-    const auto run = digest_run(BackendKind::kFpga, true, 2, 4);
+    const auto run = digest_run(BackendKind::kFpga, true, 4);
     // Emission is frame-ordered, so the surviving report is the last
     // frame's — and per-frame accounting is a pure function of the capture.
     EXPECT_EQ(run.report.fpga.capture_cycles, sync_run.report.fpga.capture_cycles);
@@ -795,12 +792,12 @@ TEST(HybridOverlap, BatchSizeSweepIsBitIdentical) {
     // The transport batch size is a pure perf knob: per-record (1), default
     // (32), and a batch larger than the ring must all produce the same
     // frames.
-    const auto reference = digest_run(BackendKind::kCpu, false, 2, 1, 1);
+    const auto reference = digest_run(BackendKind::kCpu, false, 1, 1);
     for (std::size_t batch : {std::size_t{2}, std::size_t{32}, std::size_t{4096}}) {
-        EXPECT_EQ(digest_run(BackendKind::kCpu, false, 2, 1, batch).digests,
+        EXPECT_EQ(digest_run(BackendKind::kCpu, false, 1, batch).digests,
                   reference.digests)
             << "batch=" << batch;
-        EXPECT_EQ(digest_run(BackendKind::kCpu, true, 2, 2, batch).digests,
+        EXPECT_EQ(digest_run(BackendKind::kCpu, true, 2, batch).digests,
                   reference.digests)
             << "batch=" << batch << " (overlap, 2 workers)";
     }
@@ -811,6 +808,70 @@ TEST(HybridOverlap, LastFrameIsTheFinalDecodedFrame) {
         const auto run = digest_run(backend, true);
         EXPECT_EQ(frame_digest(run.report.last_frame), run.digests.back());
         EXPECT_GE(run.report.decode_wait_seconds, 0.0);
+    }
+}
+
+/// A period-template source that publishes how many records it has
+/// served, so a sink can watch the producer's progress.
+class CountingSource final : public RecordSource {
+public:
+    CountingSource(std::vector<std::uint32_t> period, const FrameLayout& layout,
+                   std::uint64_t frames)
+        : inner_(std::move(period), layout, frames, 1) {}
+
+    std::uint64_t total_records() const override {
+        return inner_.total_records();
+    }
+    std::span<const std::uint32_t> record(std::uint64_t seq) override {
+        served_.store(seq + 1, std::memory_order_release);
+        return inner_.record(seq);
+    }
+    std::uint64_t served() const {
+        return served_.load(std::memory_order_acquire);
+    }
+
+private:
+    PeriodTemplateSource inner_;
+    std::atomic<std::uint64_t> served_{0};
+};
+
+TEST(HybridOverlap, TwoWorkersKeepThreeFramesInFlight) {
+    // A solo stream with two decode workers keeps three frames in flight:
+    // frame 0 held in the sink, frame 1 decoded and waiting its turn, and
+    // frame 2 accumulating. The link is too shallow for the producer to run
+    // ahead (2 records, per-record transport), so every record of frame 2 is
+    // served only if the consumer keeps accumulating while both workers hold
+    // a frame. Capped at two frames in flight, the consumer parks after
+    // dispatching frame 1 and the bounded wait below expires.
+    const prs::OversampledPrs seq(5, 1, prs::GateMode::kPulsed);
+    const FrameLayout layout{.drift_bins = seq.length(), .mz_bins = 8,
+                             .drift_bin_width_s = 1e-4};
+    const std::uint64_t records_per_frame = layout.drift_bins;
+    for (auto backend : {BackendKind::kCpu, BackendKind::kFpga}) {
+        CountingSource source(std::vector<std::uint32_t>(layout.cells(), 3),
+                              layout, 4);
+        HybridConfig cfg;
+        cfg.backend = backend;
+        cfg.frames = 4;
+        cfg.averages = 1;
+        cfg.ring_records = 2;
+        cfg.batch_records = 1;
+        cfg.cpu_threads = 1;
+        cfg.overlap_decode = true;
+        cfg.decode_workers = 2;
+        bool frame2_served = false;
+        cfg.frame_sink = [&](std::size_t index, const Frame&) {
+            if (index != 0) return;
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(5);
+            while (source.served() < 3 * records_per_frame &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            frame2_served = source.served() >= 3 * records_per_frame;
+        };
+        const auto report = HybridPipeline(seq, layout, source, cfg).run();
+        EXPECT_TRUE(frame2_served) << "backend=" << static_cast<int>(backend);
+        EXPECT_EQ(report.frames, 4u);
     }
 }
 

@@ -465,7 +465,7 @@ TEST(RaceHybrid, OverlappedCpuDecodeStartsAndStopsCleanly) {
     cfg.cpu_threads = 2;
     cfg.ring_records = 2;
     cfg.overlap_decode = true;
-    cfg.decode_buffers = 3;  // deeper free list: worker and consumer overlap
+    cfg.decode_workers = 2;  // 3 frames in flight: workers and consumer overlap
     for (int run = 0; run < 3; ++run) {
         htims::pipeline::HybridPipeline pipeline(seq, layout, period, cfg);
         const auto report = pipeline.run();
@@ -850,7 +850,6 @@ TEST(RaceFleet, WorkerFailureReleasesConsumersParkedOnFreeBuffers) {
         std::vector<htims::pipeline::FleetStream> streams;
         for (std::size_t si = 0; si < 2; ++si) {
             streams.push_back(race_fleet_stream(si, 4));
-            streams.back().config.decode_buffers = 2;
             streams.back().config.frame_sink =
                 [si](std::size_t index, const htims::pipeline::Frame&) {
                     if (index != 0) return;

@@ -298,12 +298,15 @@ TEST(ParallelForGrain, ExplicitGrainBoundsChunkSize) {
 
 TEST(ParallelForGrain, MutableStateCallableCompiles) {
     // The template front-end must accept non-const callables (the old
-    // std::function signature silently copied them).
+    // std::function signature silently copied them). Pool threads invoke
+    // one shared reference to the body concurrently, so its mutable state
+    // is atomic; the non-const fetch_add still needs a mutable lambda.
     ThreadPool pool(2);
     std::atomic<std::size_t> total{0};
-    auto body = [&total, acc = std::size_t{0}](std::size_t lo, std::size_t hi) mutable {
-        acc = hi - lo;
-        total.fetch_add(acc);
+    auto body = [&total, chunks = std::atomic<std::size_t>{0}](
+                    std::size_t lo, std::size_t hi) mutable {
+        chunks.fetch_add(1);
+        total.fetch_add(hi - lo);
     };
     pool.parallel_for(256, body, 16);
     EXPECT_EQ(total.load(), 256u);
